@@ -1,6 +1,5 @@
 """Respiratory-resolved 4D reconstruction from interleaved 2D navigator scans."""
 
-from .criterion import MatchDecision, decide_match
 from .errors import (
     DatasetIOError,
     ProcessingError,
@@ -13,7 +12,6 @@ from .imgcore import (
     Frame,
     InterleavedSequence,
     ReferenceSequence,
-    enclosing_navigators,
     load_dataset,
     write_dataset,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "DatasetIOError",
     "Frame",
     "InterleavedSequence",
-    "MatchDecision",
     "MatchResult",
     "PhantomSpec",
     "ProcessingError",
@@ -60,8 +57,6 @@ __all__ = [
     "ValidationError",
     "Volume4D",
     "cut_template",
-    "decide_match",
-    "enclosing_navigators",
     "generate_phantom",
     "load_dataset",
     "locate_in_navigator",

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import phantom as phantom_mod
@@ -170,13 +171,13 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = ReconstructionConfig(jobs=args.jobs)
+    t0 = time.perf_counter()
     cells = sweep(dataset, rois, thresholds=thresholds, base_config=base)
+    elapsed = time.perf_counter() - t0
     write_rates_csv(cells, out / "rates.csv")
     for c in cells:
-        print(
-            f"ref{c.reference} {c.method:8s} {c.measure:13s} t={c.threshold_px:<4g} "
-            f"rate {c.rate:6.2f}%  ({c.seconds:.2f}s)"
-        )
+        print(f"ref{c.reference} {c.method:8s} {c.measure:13s} t={c.threshold_px:<4g} rate {c.rate:6.2f}%")
+    print(f"sweep: {len(cells)} cells in {elapsed:.2f}s")
     if args.timing:
         comparison = compare_timing(dataset, rois, base)
         write_timing_csv(comparison, out / "timing.csv")

@@ -1,4 +1,4 @@
-"""Breathing-state agreement between a reference timepoint and a data frame.
+"""Breathing-state agreement between reference timepoints and data frames.
 
 A data frame is compared to a reference timepoint through the navigators that
 enclose each of them: vessel displacements are measured from the navigator
@@ -10,8 +10,6 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 AGG_SUM = "sum"
@@ -19,86 +17,24 @@ AGG_MEAN = "mean"
 AGGREGATIONS = (AGG_SUM, AGG_MEAN)
 
 
-@dataclass
-class DisplacementSummary:
-    """Per-vessel displacement magnitudes for the two navigator pairs."""
+def decide(table: np.ndarray, threshold: float, aggregation: str = AGG_SUM) -> tuple[np.ndarray, np.ndarray]:
+    """Totals and acceptance for every (eligible timepoint, data frame) pair.
 
-    preceding: np.ndarray  # (n_vessels,)
-    following: np.ndarray  # (n_vessels,)
-    total: float  # sum of all listed magnitudes
-
-
-@dataclass
-class MatchDecision:
-    reference_timepoint: int
-    sequence_index: int
-    data_frame_index: int  # frame ordinal within the interleaved sequence
-    summary: DisplacementSummary
-    threshold: float
-    aggregation: str
-    accepted: bool
-
-
-def pair_displacement(ref_positions, nav_positions) -> np.ndarray:
-    """Euclidean displacement magnitude per vessel between two frames.
-
-    Both arguments are (n_vessels, 2) position arrays in matching vessel
-    order; a count mismatch is a usage error.
+    ``table`` is one interleaved sequence's per-vessel displacement
+    ``D[r, n, v]`` between reference navigator ``r`` and the sequence's
+    navigator ``n``.  Row ``i - 1`` of the result pairs eligible timepoint
+    ``i`` (boundary reference frames have no enclosing pair) with column
+    ``k``, the data frame at ordinal ``2k + 1``: its total sums
+    ``D[i - 1, k, :]`` (preceding pair) and ``D[i + 1, k + 1, :]`` (following
+    pair).  ``mean`` divides the total by ``2 * n_vessels`` before the strict
+    ``<`` comparison; the totals returned are always sums.
     """
-    a = np.asarray(ref_positions, dtype=np.float64)
-    b = np.asarray(nav_positions, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise ValueError(f"positions must have shape (n_vessels, 2), got {a.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"vessel count mismatch: {a.shape[0]} reference vs {b.shape[0]} navigator")
-    d = a - b
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-
-
-def aggregate_displacement(total: float, count: int, aggregation: str) -> float:
-    if aggregation == AGG_SUM:
-        return total
-    if aggregation == AGG_MEAN:
-        return total / count
-    raise ValueError(f"unknown aggregation {aggregation!r}, expected one of {AGGREGATIONS}")
-
-
-def decide_match(
-    reference_timepoint: int,
-    sequence_index: int,
-    data_frame_index: int,
-    ref_prev_positions,
-    ref_next_positions,
-    nav_prev_positions,
-    nav_next_positions,
-    n_reference_frames: int,
-    threshold: float,
-    aggregation: str = AGG_SUM,
-) -> MatchDecision:
-    """Decide whether a data frame was acquired in the timepoint's breathing state.
-
-    ``ref_prev/next_positions`` are the vessel positions in the reference
-    navigators enclosing the timepoint, ``nav_prev/next_positions`` those in
-    the navigators enclosing the candidate data frame.  Acceptance is strict:
-    the aggregated displacement must be ``< threshold``.
-    """
-    if not 1 <= reference_timepoint <= n_reference_frames - 2:
-        raise ValueError(
-            f"reference timepoint {reference_timepoint} has no enclosing navigators "
-            f"in a {n_reference_frames}-frame sequence (boundary timepoints are ineligible)"
-        )
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    preceding = pair_displacement(ref_prev_positions, nav_prev_positions)
-    following = pair_displacement(ref_next_positions, nav_next_positions)
-    total = float(preceding.sum() + following.sum())
-    value = aggregate_displacement(total, preceding.size + following.size, aggregation)
-    return MatchDecision(
-        reference_timepoint=reference_timepoint,
-        sequence_index=sequence_index,
-        data_frame_index=data_frame_index,
-        summary=DisplacementSummary(preceding=preceding, following=following, total=total),
-        threshold=float(threshold),
-        aggregation=aggregation,
-        accepted=bool(value < threshold),
-    )
+    if aggregation not in AGGREGATIONS:
+        raise ValueError(f"unknown aggregation {aggregation!r}, expected one of {AGGREGATIONS}")
+    sums = table.sum(axis=2)  # (n_ref, n_navs)
+    n_data = table.shape[1] - 1
+    totals = sums[:-2, :n_data] + sums[2:, 1 : n_data + 1]
+    values = totals if aggregation == AGG_SUM else totals / (2 * table.shape[2])
+    return totals, values < threshold

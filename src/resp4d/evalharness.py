@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .imgcore import Dataset
 from .matcher import CCOEFF_NORMED, CCORR_NORMED
@@ -13,6 +16,8 @@ from .reconstructor import (
     BASELINE_METHOD,
     UPDATING_METHOD,
     ReconstructionConfig,
+    decide_all,
+    displacement_tables,
     reconstruct,
 )
 from .tracker import RoiSpec
@@ -32,7 +37,6 @@ class SweepCell:
     rate: float
     matches: int
     widened: int
-    seconds: float
 
 
 def sweep(
@@ -44,37 +48,33 @@ def sweep(
     methods=DEFAULT_METHODS,
     base_config: ReconstructionConfig | None = None,
 ) -> list[SweepCell]:
-    """One reconstruction per grid cell, cells run sequentially.
+    """Reconstruction rate for every grid cell, without building voxels.
 
     The grid is the full cross of references x methods x measures x
-    thresholds, in that nesting order.
+    thresholds, in that nesting order.  Displacement tables are computed once
+    per (reference, method, measure) and every threshold re-cuts them, so
+    each cell equals a ``reconstruct`` run with that cell's config.
     """
     base = base_config or ReconstructionConfig()
+    for threshold in thresholds:
+        replace(base, threshold_px=threshold)  # reject a bad threshold before any tracking
     cells = []
-    for reference in references:
-        for method in methods:
-            for measure in measures:
-                for threshold in thresholds:
-                    config = replace(
-                        base,
-                        reference=reference,
-                        method=method,
-                        measure=measure,
-                        threshold_px=threshold,
-                    )
-                    _, report = reconstruct(dataset, rois, config)
-                    cells.append(
-                        SweepCell(
-                            reference=reference,
-                            method=method,
-                            measure=measure,
-                            threshold_px=threshold,
-                            rate=report.reconstruction_rate,
-                            matches=sum(report.per_sequence_matches.values()),
-                            widened=report.widened_count,
-                            seconds=report.seconds,
-                        )
-                    )
+    for reference, method, measure in itertools.product(references, methods, measures):
+        config = replace(base, reference=reference, method=method, measure=measure)
+        tables, widened = displacement_tables(dataset, rois, config)
+        for threshold in thresholds:
+            report = decide_all(dataset, tables, widened, replace(config, threshold_px=threshold))
+            cells.append(
+                SweepCell(
+                    reference=reference,
+                    method=method,
+                    measure=measure,
+                    threshold_px=threshold,
+                    rate=report.reconstruction_rate,
+                    matches=sum(report.per_sequence_matches.values()),
+                    widened=report.widened_count,
+                )
+            )
     return cells
 
 
@@ -82,12 +82,11 @@ def write_rates_csv(cells: list[SweepCell], path: Path | str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["reference", "method", "measure", "threshold_px", "rate_percent", "matches", "widened", "seconds"]
+            ["reference", "method", "measure", "threshold_px", "rate_percent", "matches", "widened"]
         )
         for c in cells:
             writer.writerow(
-                [c.reference, c.method, c.measure, c.threshold_px,
-                 f"{c.rate:.4f}", c.matches, c.widened, f"{c.seconds:.3f}"]
+                [c.reference, c.method, c.measure, c.threshold_px, f"{c.rate:.4f}", c.matches, c.widened]
             )
 
 
@@ -131,8 +130,7 @@ def compare_timing(
     full_med, full_times, full_rep = run(full_config)
     region_med, region_times, region_rep = run(region_config)
 
-    key = lambda d: (d.sequence_index, d.reference_timepoint, d.data_frame_index, d.accepted)
-    identical = list(map(key, full_rep.decisions)) == list(map(key, region_rep.decisions))
+    identical = all(map(np.array_equal, full_rep.accepted, region_rep.accepted))
     return TimingComparison(
         full_seconds=full_med,
         region_seconds=region_med,

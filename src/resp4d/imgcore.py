@@ -144,19 +144,6 @@ class InterleavedSequence:
         return self.frames[1::2]
 
 
-def enclosing_navigators(seq: InterleavedSequence, index: int) -> tuple[Frame, Frame]:
-    """Return the navigator frames acquired directly before and after a data frame.
-
-    ``index`` is the frame ordinal within the sequence and must address a data
-    frame (odd ordinal); addressing a navigator is a usage error.
-    """
-    if not 0 <= index < len(seq.frames):
-        raise IndexError(f"frame index {index} out of range for sequence of {len(seq.frames)} frames")
-    if index % 2 == 0:
-        raise ValueError(f"frame {index} is a navigator; enclosing navigators exist only for data frames")
-    return seq.frames[index - 1], seq.frames[index + 1]
-
-
 @dataclass
 class Dataset:
     """Two reference sequences plus the interleaved stack covering the volume."""

@@ -9,22 +9,22 @@ and empty bins are recorded in a completeness map and stored black.
 Which templates face the interleaved navigators depends on the method: the
 updating method localizes with the template set of the specific reference
 frame being compared (so template appearance is state-aligned on both sides),
-the baseline uses the frame-0 set everywhere.  A config switch exposes the
-cheaper frame-0 behaviour for the updating method as well.
+the baseline uses the frame-0 set everywhere.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .criterion import AGGREGATIONS, AGG_SUM, DisplacementSummary, MatchDecision
+from .criterion import AGGREGATIONS, AGG_SUM, decide
 from .errors import ValidationError
 from .imgcore import Dataset, InterleavedSequence, quantize_u16
 from .matcher import MEASURES, CCOEFF_NORMED
@@ -34,8 +34,6 @@ from .tracker import (
     FIXED,
     UPDATING,
     RoiSpec,
-    TemplateSet,
-    TrackTrace,
     locate_in_navigator,
     track_reference,
 )
@@ -43,10 +41,6 @@ from .tracker import (
 BASELINE_METHOD = "baseline"
 UPDATING_METHOD = "updating"
 METHODS = (BASELINE_METHOD, UPDATING_METHOD)
-
-SOURCE_MATCHED_FRAME = "matched_reference_frame"
-SOURCE_INITIAL = "initial"
-TEMPLATE_SOURCES = (SOURCE_MATCHED_FRAME, SOURCE_INITIAL)
 
 
 @dataclass
@@ -58,7 +52,6 @@ class ReconstructionConfig:
     search_radius: int | None = DEFAULT_SEARCH_RADIUS  # None searches the full frame
     min_score: float = DEFAULT_MIN_SCORE
     aggregation: str = AGG_SUM
-    interleaved_template_source: str = SOURCE_MATCHED_FRAME
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -68,27 +61,16 @@ class ReconstructionConfig:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.measure not in MEASURES:
             raise ValidationError(f"measure must be one of {MEASURES}, got {self.measure!r}")
-        if self.threshold_px < 0:
-            raise ValidationError(f"threshold must be non-negative, got {self.threshold_px}")
+        if not (math.isfinite(self.threshold_px) and self.threshold_px >= 0):
+            raise ValidationError(f"threshold must be finite and non-negative, got {self.threshold_px}")
+        if not math.isfinite(self.min_score):
+            raise ValidationError(f"min score must be finite, got {self.min_score}")
         if self.search_radius is not None and self.search_radius < 1:
             raise ValidationError(f"search radius must be >= 1 or None, got {self.search_radius}")
         if self.aggregation not in AGGREGATIONS:
             raise ValidationError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
-        if self.interleaved_template_source not in TEMPLATE_SOURCES:
-            raise ValidationError(
-                f"interleaved template source must be one of {TEMPLATE_SOURCES}, "
-                f"got {self.interleaved_template_source!r}"
-            )
         if self.jobs < 1:
             raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
-
-
-@dataclass
-class SliceBin:
-    reference_timepoint: int
-    slice_position_mm: float
-    frame_indices: list[int]  # data-frame ordinals within the sequence
-    averaged: np.ndarray | None  # float64 (H, W), None when the bin is empty
 
 
 @dataclass
@@ -98,7 +80,6 @@ class Volume4D:
     voxels: np.ndarray  # (n_timepoints, n_slices, H, W) float64
     completeness: np.ndarray  # (n_timepoints, n_slices) bool
     voxel_spacing_mm: tuple[float, float, float]  # (row, column, slice step)
-    bins: list[SliceBin] = field(default_factory=list)
 
 
 @dataclass
@@ -110,7 +91,10 @@ class ReconstructionReport:
     widened_count: int
     seconds: float
     config: ReconstructionConfig
-    decisions: list[MatchDecision] = field(default_factory=list)
+    # one (n_timepoints, n_data_frames) array per acquisition index: row i - 1
+    # is timepoint i, column k the data frame at ordinal 2k + 1 (criterion.decide)
+    totals: list[np.ndarray]  # float64 summed displacement
+    accepted: list[np.ndarray]  # bool
 
 
 def average_bin(frames) -> np.ndarray:
@@ -142,69 +126,72 @@ def _locate_chain(
     return pos, widened
 
 
-def _magnitudes(ref_xy: np.ndarray, nav_xy: np.ndarray) -> np.ndarray:
-    d = ref_xy - nav_xy
-    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-
-
-def _displacement_tables(
-    dataset: Dataset,
-    trace: TrackTrace,
-    sets: list[TemplateSet],
-    config: ReconstructionConfig,
+def displacement_tables(
+    dataset: Dataset, rois: RoiSpec, config: ReconstructionConfig
 ) -> tuple[list[np.ndarray], int]:
-    """Per-vessel displacement D[s][r, n, v] between reference navigator r and
-    navigator n of interleaved sequence s."""
+    """Track the reference, localize every navigator, and measure displacements.
+
+    Returns one table ``D[r, n, v]`` per interleaved sequence, the distance of
+    vessel ``v`` between reference navigator ``r`` and the sequence's
+    navigator ``n``, plus the number of widened searches.  The threshold and
+    aggregation play no part here, so one set of tables serves every
+    threshold.
+    """
+    ref = dataset.reference(config.reference)
+    if len(ref.frames) < 3:
+        raise ValidationError("reference sequence too short: no eligible timepoints")
+
+    mode = UPDATING if config.method == UPDATING_METHOD else FIXED
+    radius = None if config.method == BASELINE_METHOD else config.search_radius
+    trace, sets = track_reference(ref, rois, config.measure, radius, mode, config.min_score)
+
+    # updating tracking yields one template set per reference frame, fixed
+    # tracking only the frame-0 set; each set localizes every sequence
     seqs = dataset.interleaved
-    n_ref = trace.n_frames
-    per_frame_sets = (
-        config.method == UPDATING_METHOD
-        and config.interleaved_template_source == SOURCE_MATCHED_FRAME
-    )
-    widened = 0
-    if per_frame_sets:
-        located: dict[tuple[int, int], np.ndarray] = {}
-        tasks = [(r, s) for r in range(n_ref) for s in range(len(seqs))]
+    tasks = [(r, s) for r in range(len(sets)) for s in range(len(seqs))]
 
-        def run(task):
-            r, s = task
-            return task, _locate_chain(
-                seqs[s], sets[r].templates, config.measure, config.search_radius, config.min_score
-            )
+    def run(task):
+        r, s = task
+        return _locate_chain(seqs[s], sets[r].templates, config.measure, config.search_radius, config.min_score)
 
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                outcomes = list(pool.map(run, tasks))
-        else:
-            outcomes = [run(t) for t in tasks]
-        for (r, s), (pos, wid) in outcomes:
-            located[(r, s)] = pos
-            widened += wid
-        tables = []
-        for s, seq in enumerate(seqs):
-            n_navs = len(seq.navigators())
-            table = np.zeros((n_ref, n_navs, len(trace.labels)))
-            for r in range(n_ref):
-                table[r] = _magnitudes(trace.positions[r][None, :, :], located[(r, s)])
-            tables.append(table)
+    if config.jobs > 1:
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            outcomes = list(pool.map(run, tasks))
     else:
-        base = sets[0].templates
-        chains = []
-
-        def run0(s):
-            return _locate_chain(seqs[s], base, config.measure, config.search_radius, config.min_score)
-
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                chains = list(pool.map(run0, range(len(seqs))))
-        else:
-            chains = [run0(s) for s in range(len(seqs))]
-        tables = []
-        for s, (pos, wid) in enumerate(chains):
-            widened += wid
-            # trace (r, v, 2) against navigators (n, v, 2) -> (r, n, v)
-            tables.append(_magnitudes(trace.positions[:, None, :, :], pos[None, :, :, :]))
+        outcomes = [run(t) for t in tasks]
+    widened = int(trace.widened.sum()) + sum(wid for _, wid in outcomes)
+    tables = []
+    for s in range(len(seqs)):
+        located = np.stack([outcomes[r * len(seqs) + s][0] for r in range(len(sets))])  # (sets, n, v, 2)
+        # trace (r, v, 2) against navigators (sets, n, v, 2) -> (r, n, v)
+        d = trace.positions[:, None] - located
+        tables.append(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
     return tables, widened
+
+
+def decide_all(
+    dataset: Dataset, tables: list[np.ndarray], widened: int, config: ReconstructionConfig
+) -> ReconstructionReport:
+    """Apply the acceptance rule to every sequence's table; voxels are not built."""
+    totals, accepted = zip(*(decide(t, config.threshold_px, config.aggregation) for t in tables))
+    filled = np.stack([a.any(axis=1) for a in accepted], axis=1)  # (timepoint, sequence)
+    slice_mm = {s: float(seq.data_slice_position_mm) for s, seq in enumerate(dataset.interleaved)}
+    missing = {
+        i: sorted(slice_mm[s] for s in np.nonzero(~row)[0])
+        for i, row in enumerate(filled, start=1)
+        if not row.all()
+    }
+    return ReconstructionReport(
+        reconstruction_rate=100.0 * filled.sum() / filled.size,
+        per_sequence_matches={s: int(a.sum()) for s, a in enumerate(accepted)},
+        sequence_slice_mm=slice_mm,
+        missing=missing,
+        widened_count=widened,
+        seconds=0.0,
+        config=config,
+        totals=list(totals),
+        accepted=list(accepted),
+    )
 
 
 def reconstruct(
@@ -213,79 +200,21 @@ def reconstruct(
     """Run the full pipeline on an in-memory dataset."""
     config = config or ReconstructionConfig()
     t0 = time.perf_counter()
-    ref = dataset.reference(config.reference)
-    n_ref = len(ref.frames)
-    if n_ref < 3:
-        raise ValidationError("reference sequence too short: no eligible timepoints")
+    tables, widened = displacement_tables(dataset, rois, config)
+    report = decide_all(dataset, tables, widened, config)
 
-    mode = UPDATING if config.method == UPDATING_METHOD else FIXED
-    radius = None if config.method == BASELINE_METHOD else config.search_radius
-    trace, sets = track_reference(ref, rois, config.measure, radius, mode, config.min_score)
-    widened = int(trace.widened.sum())
-
-    tables, loc_widened = _displacement_tables(dataset, trace, sets, config)
-    widened += loc_widened
-
-    n_vessels = len(rois)
     seqs = dataset.interleaved
-    eligible = list(range(1, n_ref - 1))
-    decisions: list[MatchDecision] = []
-    accepted_masks = []
-    for s, seq in enumerate(seqs):
-        table = tables[s]  # (n_ref, n_navs, V)
-        sums = table.sum(axis=2)  # (n_ref, n_navs)
-        n_data = len(seq.data_frames())
-        # totals[i - 1, k] pairs timepoint i with data frame ordinal 2k + 1
-        totals = sums[:-2, :n_data] + sums[2:, 1 : n_data + 1]
-        values = totals if config.aggregation == AGG_SUM else totals / (2 * n_vessels)
-        accepted = values < config.threshold_px
-        accepted_masks.append(accepted)
-        for idx_i, i in enumerate(eligible):
-            for k in range(n_data):
-                decisions.append(
-                    MatchDecision(
-                        reference_timepoint=i,
-                        sequence_index=s,
-                        data_frame_index=2 * k + 1,
-                        summary=DisplacementSummary(
-                            preceding=table[i - 1, k].copy(),
-                            following=table[i + 1, k + 1].copy(),
-                            total=float(totals[idx_i, k]),
-                        ),
-                        threshold=config.threshold_px,
-                        aggregation=config.aggregation,
-                        accepted=bool(accepted[idx_i, k]),
-                    )
-                )
-
-    order = np.argsort([seq.data_slice_position_mm for seq in seqs], kind="stable")
-    slice_positions = [float(seqs[s].data_slice_position_mm) for s in order]
-    h, w = dataset.frame_shape
-    voxels = np.zeros((len(eligible), len(seqs), h, w))
-    completeness = np.zeros((len(eligible), len(seqs)), dtype=bool)
-    bins: list[SliceBin] = []
-    for idx_i, i in enumerate(eligible):
-        for si, s in enumerate(order):
-            seq = seqs[s]
-            ks = np.nonzero(accepted_masks[s][idx_i])[0]
-            indices = [2 * int(k) + 1 for k in ks]
-            averaged = None
-            if indices:
-                averaged = average_bin([seq.frames[d].pixels for d in indices])
-                voxels[idx_i, si] = averaged
-                completeness[idx_i, si] = True
-            bins.append(
-                SliceBin(
-                    reference_timepoint=i,
-                    slice_position_mm=slice_positions[si],
-                    frame_indices=indices,
-                    averaged=averaged,
-                )
-            )
+    order = sorted(range(len(seqs)), key=report.sequence_slice_mm.__getitem__)
+    completeness = np.stack([report.accepted[s].any(axis=1) for s in order], axis=1)
+    voxels = np.zeros(completeness.shape + dataset.frame_shape)
+    for idx_i, si in zip(*np.nonzero(completeness)):
+        s = order[si]
+        ks = np.nonzero(report.accepted[s][idx_i])[0]
+        voxels[idx_i, si] = average_bin([seqs[s].frames[2 * k + 1].pixels for k in ks])
 
     volume = Volume4D(
-        timepoints=eligible,
-        slice_positions_mm=slice_positions,
+        timepoints=list(range(1, len(completeness) + 1)),
+        slice_positions_mm=[report.sequence_slice_mm[s] for s in order],
         voxels=voxels,
         completeness=completeness,
         voxel_spacing_mm=(
@@ -293,26 +222,8 @@ def reconstruct(
             dataset.in_plane_spacing_mm[1],
             dataset.slice_gap_mm,
         ),
-        bins=bins,
     )
-    per_sequence = {
-        s: int(accepted_masks[s].sum()) for s in range(len(seqs))
-    }
-    missing = {}
-    for idx_i, i in enumerate(eligible):
-        empty = [slice_positions[si] for si in range(len(seqs)) if not completeness[idx_i, si]]
-        if empty:
-            missing[i] = empty
-    report = ReconstructionReport(
-        reconstruction_rate=100.0 * completeness.sum() / completeness.size,
-        per_sequence_matches=per_sequence,
-        sequence_slice_mm={s: float(seq.data_slice_position_mm) for s, seq in enumerate(seqs)},
-        missing=missing,
-        widened_count=widened,
-        seconds=time.perf_counter() - t0,
-        config=config,
-        decisions=decisions,
-    )
+    report.seconds = time.perf_counter() - t0
     return volume, report
 
 
@@ -358,11 +269,10 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
     with open(out / "matches.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["reference_timepoint", "sequence_index", "data_frame_index", "total", "accepted"])
-        for d in report.decisions:
-            writer.writerow(
-                [d.reference_timepoint, d.sequence_index, d.data_frame_index,
-                 f"{d.summary.total:.6f}", int(d.accepted)]
-            )
+        for s, (totals, accepted) in enumerate(zip(report.totals, report.accepted)):
+            for i, (row_totals, row_accepted) in enumerate(zip(totals.tolist(), accepted.tolist()), start=1):
+                for k, (total, ok) in enumerate(zip(row_totals, row_accepted)):
+                    writer.writerow([i, s, 2 * k + 1, f"{total:.6f}", int(ok)])
 
     with open(out / "acquisition_correlation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

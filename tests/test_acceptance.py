@@ -211,17 +211,18 @@ def test_c6_decisions_match_truth_oracle(capsys):
     _, report = reconstruct(dataset, rois, config)
     oracle = oracle_matches(truth, threshold=config.threshold_px)
     decided = {
-        (d.sequence_index, d.reference_timepoint, d.data_frame_index): d
-        for d in report.decisions
+        (s, row + 1, 2 * k + 1): (bool(accepted[row, k]), float(total))
+        for s, (totals, accepted) in enumerate(zip(report.totals, report.accepted))
+        for (row, k), total in np.ndenumerate(totals)
     }
     assert set(decided) == set(oracle)
 
     band = 2 * (0.25 * len(rois) * 2)
     disagreements = []
     for key, (accepted, _) in oracle.items():
-        d = decided[key]
-        if d.accepted != accepted:
-            disagreements.append(abs(d.summary.total - config.threshold_px))
+        got_accepted, got_total = decided[key]
+        if got_accepted != accepted:
+            disagreements.append(abs(got_total - config.threshold_px))
     agreement = 100.0 * (len(oracle) - len(disagreements)) / len(oracle)
     assert agreement >= 99.0
     assert all(dist <= band for dist in disagreements)

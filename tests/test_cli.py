@@ -184,6 +184,38 @@ def test_sweep_rejects_malformed_thresholds(workdir, capsys):
     assert "bad --thresholds" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_a_nan_threshold(workdir, capsys):
+    root, dataset_dir = workdir
+    code = main(
+        [
+            "reconstruct",
+            "--dataset", str(dataset_dir),
+            "--rois", str(dataset_dir / "rois.json"),
+            "--out", str(root / "rec_nan"),
+            "--threshold", "nan",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: threshold must be finite")
+    assert not (root / "rec_nan").exists()
+
+
+def test_sweep_rejects_a_nan_threshold(workdir, capsys):
+    root, dataset_dir = workdir
+    code = main(
+        [
+            "sweep",
+            "--dataset", str(dataset_dir),
+            "--rois", str(dataset_dir / "rois.json"),
+            "--out", str(root / "sweep_nan"),
+            "--thresholds", "nan,1",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: threshold must be finite")
+    assert not (root / "sweep_nan" / "rates.csv").exists()
+
+
 def test_sweep_timing_flag_writes_timing_csv(workdir):
     root, dataset_dir = workdir
     out_dir = root / "sweep_timing"

@@ -9,7 +9,6 @@ from resp4d.imgcore import (
     Frame,
     InterleavedSequence,
     ReferenceSequence,
-    enclosing_navigators,
     load_dataset,
     quantize_u16,
     write_dataset,
@@ -99,25 +98,6 @@ def test_dataset_rejects_uneven_slice_progression():
     ]
     with pytest.raises(ValidationError, match="arithmetic"):
         Dataset(ref, ref2, seqs, in_plane_spacing_mm=(1.82, 1.82), slice_gap_mm=4.0)
-
-
-# --- enclosing navigators ---------------------------------------------------
-
-
-def test_enclosing_navigators_brackets_data_frame():
-    seq = _tiny_interleaved(n_data=3)
-    before, after = enclosing_navigators(seq, 3)
-    assert before is seq.frames[2]
-    assert after is seq.frames[4]
-    assert before.kind == NAVIGATOR and after.kind == NAVIGATOR
-
-
-def test_enclosing_navigators_rejects_navigator_ordinal():
-    seq = _tiny_interleaved(n_data=3)
-    with pytest.raises(ValueError, match="is a navigator"):
-        enclosing_navigators(seq, 2)
-    with pytest.raises(IndexError):
-        enclosing_navigators(seq, 99)
 
 
 def test_navigator_and_data_views():

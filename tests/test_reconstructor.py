@@ -22,8 +22,13 @@ from resp4d.tracker import Roi
 from conftest import replay_spec
 
 
-def _decision_key(d):
-    return (d.sequence_index, d.reference_timepoint, d.data_frame_index)
+def _decisions(report):
+    """(sequence, timepoint, data frame ordinal) -> (accepted, total), as in matches.csv."""
+    out = {}
+    for s, (totals, accepted) in enumerate(zip(report.totals, report.accepted)):
+        for (row, k), total in np.ndenumerate(totals):
+            out[(s, row + 1, 2 * k + 1)] = (bool(accepted[row, k]), float(total))
+    return out
 
 
 @pytest.mark.parametrize("method", [UPDATING_METHOD, BASELINE_METHOD])
@@ -51,11 +56,11 @@ def test_replay_phantom_reconstructs_fully(replay, method):
 
     # tracked decisions agree with decisions brute-forced from true centres
     oracle = oracle_matches(truth, threshold=config.threshold_px)
-    got = {_decision_key(d): d for d in report.decisions}
+    got = _decisions(report)
     assert set(got) == set(oracle)
     for key, (accepted, total) in oracle.items():
-        assert got[key].accepted == accepted
-        assert got[key].summary.total == pytest.approx(total, abs=0.5)
+        assert got[key][0] == accepted
+        assert got[key][1] == pytest.approx(total, abs=0.5)
 
 
 def test_zero_threshold_rejects_everything(replay):
@@ -67,7 +72,7 @@ def test_zero_threshold_rejects_everything(replay):
     assert report.per_sequence_matches == {0: 0, 1: 0}
     assert set(report.missing) == set(range(1, spec.reference_frames - 1))
     assert all(len(v) == spec.sequences for v in report.missing.values())
-    assert not any(d.accepted for d in report.decisions)
+    assert not any(a.any() for a in report.accepted)
 
 
 def test_shifted_sequence_contributes_nothing():
@@ -92,22 +97,21 @@ def test_bins_are_consistent_with_completeness_and_voxels(replay):
     _, dataset, _, rois = replay
     volume, report = reconstruct(dataset, rois, ReconstructionConfig())
     n_slices = len(volume.slice_positions_mm)
-    assert len(volume.bins) == len(volume.timepoints) * n_slices
-    for b, bin_ in enumerate(volume.bins):
-        ti, si = divmod(b, n_slices)
-        assert bin_.reference_timepoint == volume.timepoints[ti]
-        assert bin_.slice_position_mm == volume.slice_positions_mm[si]
-        assert volume.completeness[ti, si] == bool(bin_.frame_indices)
-        assert all(k % 2 == 1 for k in bin_.frame_indices)
-        if bin_.frame_indices:
-            seq = next(
-                s for s in dataset.interleaved if s.data_slice_position_mm == bin_.slice_position_mm
-            )
-            expected = average_bin([seq.frames[k].pixels for k in bin_.frame_indices])
-            assert np.array_equal(bin_.averaged, expected)
-            assert np.array_equal(volume.voxels[ti, si], expected)
-        else:
-            assert bin_.averaged is None
+    assert volume.completeness.shape == (len(volume.timepoints), n_slices)
+    assert len(report.accepted) == n_slices
+    for ti, i in enumerate(volume.timepoints):
+        for si, slice_mm in enumerate(volume.slice_positions_mm):
+            (s,) = [s for s, mm in report.sequence_slice_mm.items() if mm == slice_mm]
+            seq = dataset.interleaved[s]
+            assert seq.data_slice_position_mm == slice_mm
+            indices = [2 * int(k) + 1 for k in np.nonzero(report.accepted[s][i - 1])[0]]
+            assert all(seq.frames[d].kind == DATA for d in indices)
+            assert volume.completeness[ti, si] == bool(indices)
+            if indices:
+                expected = average_bin([seq.frames[d].pixels for d in indices])
+                assert np.array_equal(volume.voxels[ti, si], expected)
+            else:
+                assert np.all(volume.voxels[ti, si] == 0.0)
 
 
 def test_mean_aggregation_matches_scaled_sum_threshold(replay):
@@ -117,9 +121,9 @@ def test_mean_aggregation_matches_scaled_sum_threshold(replay):
     _, by_mean = reconstruct(
         dataset, rois, ReconstructionConfig(threshold_px=1.0 / (2 * n_vessels), aggregation="mean")
     )
-    sum_flags = {_decision_key(d): d.accepted for d in by_sum.decisions}
-    mean_flags = {_decision_key(d): d.accepted for d in by_mean.decisions}
-    assert sum_flags == mean_flags
+    for sum_flags, mean_flags in zip(by_sum.accepted, by_mean.accepted, strict=True):
+        assert np.array_equal(sum_flags, mean_flags)
+    assert np.array_equal(np.concatenate(by_sum.totals), np.concatenate(by_mean.totals))
     assert by_sum.reconstruction_rate == by_mean.reconstruction_rate
 
 
@@ -129,9 +133,7 @@ def test_reconstruction_is_deterministic(replay):
     vb, rb = reconstruct(dataset, rois, ReconstructionConfig())
     assert np.array_equal(va.voxels, vb.voxels)
     assert np.array_equal(va.completeness, vb.completeness)
-    sig_a = [(_decision_key(d), d.accepted, d.summary.total) for d in ra.decisions]
-    sig_b = [(_decision_key(d), d.accepted, d.summary.total) for d in rb.decisions]
-    assert sig_a == sig_b
+    assert _decisions(ra) == _decisions(rb)
 
 
 def test_parallel_jobs_match_serial(replay):
@@ -139,18 +141,7 @@ def test_parallel_jobs_match_serial(replay):
     va, ra = reconstruct(dataset, rois, ReconstructionConfig(jobs=1))
     vb, rb = reconstruct(dataset, rois, ReconstructionConfig(jobs=3))
     assert np.array_equal(va.voxels, vb.voxels)
-    assert [(d.accepted, d.summary.total) for d in ra.decisions] == [
-        (d.accepted, d.summary.total) for d in rb.decisions
-    ]
-
-
-def test_initial_template_source_also_fills_the_replay(replay):
-    # no appearance modulation here, so frame-0 templates are just as good
-    _, dataset, _, rois = replay
-    _, report = reconstruct(
-        dataset, rois, ReconstructionConfig(interleaved_template_source="initial")
-    )
-    assert report.reconstruction_rate == 100.0
+    assert _decisions(ra) == _decisions(rb)
 
 
 def test_reference_two_works_as_well(replay):
@@ -168,8 +159,13 @@ def test_reference_two_works_as_well(replay):
         (dict(threshold_px=-0.5), "threshold"),
         (dict(search_radius=0), "search radius"),
         (dict(aggregation="median"), "aggregation"),
-        (dict(interleaved_template_source="latest"), "template source"),
+        (dict(threshold_px=float("nan")), "threshold"),
         (dict(jobs=0), "jobs"),
+        (dict(threshold_px=float("inf")), "threshold"),
+        (dict(threshold_px=float("-inf")), "threshold"),
+        (dict(min_score=float("nan")), "min score"),
+        (dict(min_score=float("inf")), "min score"),
+        (dict(min_score=float("-inf")), "min score"),
     ],
 )
 def test_config_validation(kwargs, fragment):
@@ -239,7 +235,10 @@ def test_save_reconstruction_layout(tmp_path, replay):
 
     with open(out / "matches.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(report.decisions)
+    assert len(rows) == sum(a.size for a in report.accepted)
+    assert [int(r["accepted"]) for r in rows] == [
+        int(x) for a in report.accepted for x in a.ravel()
+    ]
     assert rows[0].keys() == {
         "reference_timepoint",
         "sequence_index",
