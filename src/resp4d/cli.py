@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -73,14 +72,12 @@ def build_parser() -> _Parser:
     _add_matching_flags(p)
     p.add_argument("--threshold", type=float, default=1.0)
     p.add_argument("--aggregation", choices=("sum", "mean"), default="sum")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("sweep", help="reconstruction-rate grid over thresholds/measures/references/methods")
     p.add_argument("--dataset", required=True)
     p.add_argument("--rois", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--thresholds", default="0.5,1,2", help="comma-separated pixel thresholds")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--timing", action="store_true", help="also time region vs full-frame search")
 
     return parser
@@ -127,7 +124,6 @@ def _config_from_args(args) -> ReconstructionConfig:
         search_radius=args.search_radius,
         min_score=args.min_score,
         aggregation=getattr(args, "aggregation", "sum"),
-        jobs=getattr(args, "jobs", 1),
     )
 
 
@@ -168,12 +164,12 @@ def _cmd_sweep(args) -> int:
         thresholds = tuple(float(t) for t in args.thresholds.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad --thresholds value {args.thresholds!r}: {exc}") from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    base = ReconstructionConfig(jobs=args.jobs)
+    base = ReconstructionConfig()
     t0 = time.perf_counter()
     cells = sweep(dataset, rois, thresholds=thresholds, base_config=base)
     elapsed = time.perf_counter() - t0
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_rates_csv(cells, out / "rates.csv")
     for c in cells:
         print(f"ref{c.reference} {c.method:8s} {c.measure:13s} t={c.threshold_px:<4g} rate {c.rate:6.2f}%")

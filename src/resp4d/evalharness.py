@@ -97,6 +97,7 @@ class TimingComparison:
     speedup: float
     decisions_identical: bool
     widened_region: int
+    widened_full: int  # 0 by construction: a full-frame search has nothing to widen to
     full_runs: list[float]
     region_runs: list[float]
 
@@ -137,6 +138,7 @@ def compare_timing(
         speedup=full_med / region_med,
         decisions_identical=identical,
         widened_region=region_rep.widened_count,
+        widened_full=full_rep.widened_count,
         full_runs=full_times,
         region_runs=region_times,
     )

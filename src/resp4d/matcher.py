@@ -13,7 +13,12 @@ domain in float64:
 
 Scores live in [-1, 1] (``ccorr_normed`` stays in [0, 1] for non-negative
 images).  Patch statistics come from integral images, which are exact for
-integer-valued inputs; the cross term is an explicit sliding dot product.
+integer-valued inputs, and are shared by every template scored over the same
+placement box.  The cross term of a single template is an ``einsum`` over the
+strided window view; for R > 1 templates it is one matrix product of an
+im2col copy of the windows with the stacked ``(n, R)`` template matrix, taken
+in bands of placements (the shared-numerator, integral-image-denominator form
+of J. P. Lewis, "Fast Normalized Cross-Correlation", Vision Interface 1995).
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ _VARIANCE_EPS = 1e-12
 # upper bound: the fitted vertex would exceed the attainable score, which only
 # happens for exact lattice matches
 _CAP_SLACK = 1e-9
+# placements per band of the im2col copy when several templates share a box:
+# bounds the copy at a few hundred kB for the template sizes in use
+_BAND_PLACEMENTS = 512
 
 
 @dataclass
@@ -192,43 +200,88 @@ def response_map(image, template: Template, measure: str = CCOEFF_NORMED,
     ``(x0, _, y0, _) = placement_bounds(...)``; without a region that is simply
     placement ``(i, j)``.
     """
+    img = _as_image(image)
+    bounds = placement_bounds(img.shape, template.pixels.shape, region)
+    return match_scores(img, [template], measure, bounds)[0]
+
+
+def match_scores(image, templates: list[Template], measure: str,
+                 bounds: tuple[int, int, int, int]) -> np.ndarray:
+    """Scores of R same-shape templates over one placement box, shape ``(R, oh, ow)``.
+
+    Entry ``[r, j, i]`` scores ``templates[r]`` at placement ``(x0 + i, y0 + j)``
+    for inclusive ``bounds`` ``(x0, x1, y0, y1)``.  The patch statistics are
+    computed once for all R templates.
+    """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     img = _as_image(image)
-    bounds = placement_bounds(img.shape, template.pixels.shape, region)
-    return _response(img, template, measure, bounds)
-
-
-def _response(img: np.ndarray, template: Template, measure: str,
-              bounds: tuple[int, int, int, int]) -> np.ndarray:
-    x0, x1, y0, y1 = bounds
-    th, tw = template.pixels.shape
-    crop = img[y0 : y1 + th, x0 : x1 + tw]
-    windows = sliding_window_view(crop, (th, tw))
-    n = th * tw
-
-    if measure == CCOEFF_NORMED:
-        if template.degenerate:
+    th, tw = templates[0].pixels.shape
+    for tpl in templates:
+        if tpl.pixels.shape != (th, tw):
+            raise ValueError(f"templates differ in shape: {tpl.pixels.shape} vs {(th, tw)}")
+        if template_degenerate(tpl, measure):
             raise DegenerateTemplateError(
                 "constant template has zero variance and no ccoeff_normed response"
+                if measure == CCOEFF_NORMED
+                else "all-zero template has no ccorr_normed response"
             )
-        s1, s2 = _window_sums(crop, th, tw)
-        cross = np.einsum("ijkl,kl->ij", windows, template._zero_mean)
-        # exact zero-mean numerator: sum(T' I') = sum(T' I) - mean(I) sum(T')
-        num = cross - s1 * (template._sum_zero_mean / n)
-        patch_energy = np.maximum(s2 - s1 * s1 / n, 0.0)
-        flat = patch_energy <= _ENERGY_EPS
-        den = np.sqrt(template._energy_zero_mean * np.where(flat, 1.0, patch_energy))
-        scores = np.where(flat, 0.0, num / den)
+    x0, x1, y0, y1 = bounds
+    crop = img[y0 : y1 + th, x0 : x1 + tw]
+    windows = sliding_window_view(crop, (th, tw))
+    s1, s2 = _window_sums(crop, th, tw)
+    if measure == CCOEFF_NORMED:
+        kernels = [tpl._zero_mean for tpl in templates]
+        sums = [tpl._sum_zero_mean for tpl in templates]
+        energies = [tpl._energy_zero_mean for tpl in templates]
     else:
-        if template._energy_raw <= _ENERGY_EPS:
-            raise DegenerateTemplateError("all-zero template has no ccorr_normed response")
-        _, s2 = _window_sums(crop, th, tw)
-        cross = np.einsum("ijkl,kl->ij", windows, template.pixels)
-        flat = s2 <= _ENERGY_EPS
-        den = np.sqrt(template._energy_raw * np.where(flat, 1.0, s2))
-        scores = np.where(flat, 0.0, cross / den)
+        s1 = sums = None
+        kernels = [tpl.pixels for tpl in templates]
+        energies = [tpl._energy_raw for tpl in templates]
+
+    if len(templates) == 1:
+        cross = np.einsum("ijkl,kl->ij", windows, kernels[0])
+        return _normalize(cross, s1, s2, None if sums is None else sums[0], energies[0], th * tw)[None]
+
+    # R > 1: an im2col copy of the windows times the stacked templates, in
+    # bands of rows so the copy stays small
+    oh, ow = s2.shape
+    stacked = np.stack([k.ravel() for k in kernels])  # (R, n)
+    if sums is not None:
+        sums = np.array(sums)[:, None]
+    energies = np.array(energies)[:, None]
+    scores = np.empty((len(templates), oh, ow))
+    step = max(1, _BAND_PLACEMENTS // ow)
+    for j0 in range(0, oh, step):
+        j1 = min(j0 + step, oh)
+        cols = windows[j0:j1].reshape((j1 - j0) * ow, th * tw)
+        band = _normalize(
+            stacked @ cols.T,
+            None if s1 is None else s1[j0:j1].ravel(),
+            s2[j0:j1].ravel(),
+            sums,
+            energies,
+            th * tw,
+        )
+        scores[:, j0:j1] = band.reshape(len(templates), j1 - j0, ow)
     return scores
+
+
+def _normalize(cross, s1, s2, sums, energies, n: int) -> np.ndarray:
+    """Normalized scores from the cross term and the patch sums.
+
+    ``s1`` is None for ``ccorr_normed``; template statistics broadcast
+    against the patch statistics, so one formula serves one template over a
+    box and R templates over a band of placements.
+    """
+    if s1 is None:
+        num, patch_energy = cross, s2
+    else:
+        # exact zero-mean numerator: sum(T' I') = sum(T' I) - mean(I) sum(T')
+        num = cross - s1 * (sums / n)
+        patch_energy = np.maximum(s2 - s1 * s1 / n, 0.0)
+    flat = patch_energy <= _ENERGY_EPS
+    return np.where(flat, 0.0, num / np.sqrt(energies * np.where(flat, 1.0, patch_energy)))
 
 
 def _parabolic_offset(a: float, b: float, c: float) -> float:
@@ -272,20 +325,49 @@ def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
     below ``min_score`` the search widens once to the full frame and the
     full-frame best is returned with ``widened`` set, whatever its score.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+    regions = None if region is None else [region]
+    positions, scores, widened = match_templates(image, [template], measure, regions, min_score)
+    x, y = positions[0].tolist()
+    return MatchResult(position=(x, y), score=float(scores[0]), widened=bool(widened[0]))
+
+
+def match_templates(image, templates: list[Template], measure: str = CCOEFF_NORMED,
+                    regions: list[SearchRegion] | None = None, min_score: float = 0.5):
+    """``match_template`` for R same-shape templates, each in its own region.
+
+    All R templates are scored in one pass over the union of the regions;
+    each peak is then taken from its own region, so borders behave as if the
+    region had been searched alone.  Templates whose regional best scores
+    below ``min_score`` widen together to one full-frame pass.  Returns
+    positions ``(R, 2)``, scores ``(R,)`` and widened flags ``(R,)``.
+    """
     img = _as_image(image)
-    shape = template.pixels.shape
-
-    def best(bounds) -> MatchResult:
-        peak = find_peak_subpixel(_response(img, template, measure, bounds), score_cap=1.0)
-        return MatchResult(
-            position=(peak.position[0] + bounds[0], peak.position[1] + bounds[2]),
-            score=peak.score,
+    shape = templates[0].pixels.shape
+    if regions is not None and len(regions) != len(templates):
+        raise ValueError(f"{len(regions)} regions for {len(templates)} templates")
+    boxes = [placement_bounds(img.shape, shape, region) for region in regions or [None] * len(templates)]
+    positions, scores = _best_in_boxes(img, templates, boxes, measure)
+    widened = np.zeros(len(templates), dtype=bool) if regions is None else scores < min_score
+    redo = widened.nonzero()[0]
+    if len(redo):
+        full = placement_bounds(img.shape, shape, None)
+        positions[redo], scores[redo] = _best_in_boxes(
+            img, [templates[r] for r in redo], [full] * len(redo), measure
         )
+    return positions, scores, widened
 
-    result = best(placement_bounds(img.shape, shape, region))
-    if region is not None and result.score < min_score:
-        result = best(placement_bounds(img.shape, shape, None))
-        result.widened = True
-    return result
+
+def _best_in_boxes(img: np.ndarray, templates: list[Template], boxes: list, measure: str):
+    """Subpixel best placement of each template within its own box, from one union response."""
+    x0s, x1s, y0s, y1s = zip(*boxes)
+    ux0, ux1, uy0, uy1 = min(x0s), max(x1s), min(y0s), max(y1s)
+    response = match_scores(img, templates, measure, (ux0, ux1, uy0, uy1))
+    positions = np.zeros((len(boxes), 2))
+    scores = np.zeros(len(boxes))
+    for i, (x0, x1, y0, y1) in enumerate(boxes):
+        peak = find_peak_subpixel(
+            response[i, y0 - uy0 : y1 - uy0 + 1, x0 - ux0 : x1 - ux0 + 1], score_cap=1.0
+        )
+        positions[i] = (peak.position[0] + x0, peak.position[1] + y0)
+        scores[i] = peak.score
+    return positions, scores

@@ -18,7 +18,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .criterion import AGGREGATIONS, AGG_SUM, decide
 from .errors import ValidationError
-from .imgcore import Dataset, InterleavedSequence, quantize_u16
+from .imgcore import Dataset, quantize_u16
 from .matcher import MEASURES, CCOEFF_NORMED
 from .tracker import (
     DEFAULT_MIN_SCORE,
@@ -52,7 +51,6 @@ class ReconstructionConfig:
     search_radius: int | None = DEFAULT_SEARCH_RADIUS  # None searches the full frame
     min_score: float = DEFAULT_MIN_SCORE
     aggregation: str = AGG_SUM
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.reference not in (1, 2):
@@ -69,8 +67,6 @@ class ReconstructionConfig:
             raise ValidationError(f"search radius must be >= 1 or None, got {self.search_radius}")
         if self.aggregation not in AGGREGATIONS:
             raise ValidationError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -105,27 +101,6 @@ def average_bin(frames) -> np.ndarray:
     return np.mean(np.stack(arrays), axis=0)
 
 
-def _locate_chain(
-    seq: InterleavedSequence,
-    templates: list,
-    measure: str,
-    radius: int | None,
-    min_score: float,
-) -> tuple[np.ndarray, int]:
-    """Localize every navigator of a sequence, chaining priors nav to nav."""
-    navs = seq.navigators()
-    pos = np.zeros((len(navs), len(templates), 2))
-    widened = 0
-    prior = None
-    for n, nav in enumerate(navs):
-        results = locate_in_navigator(nav, templates, prior, measure, radius, min_score)
-        for v, res in enumerate(results):
-            pos[n, v] = res.position
-            widened += int(res.widened)
-        prior = [res.position for res in results]
-    return pos, widened
-
-
 def displacement_tables(
     dataset: Dataset, rois: RoiSpec, config: ReconstructionConfig
 ) -> tuple[list[np.ndarray], int]:
@@ -146,23 +121,20 @@ def displacement_tables(
     trace, sets = track_reference(ref, rois, config.measure, radius, mode, config.min_score)
 
     # updating tracking yields one template set per reference frame, fixed
-    # tracking only the frame-0 set; each set localizes every sequence
-    seqs = dataset.interleaved
-    tasks = [(r, s) for r in range(len(sets)) for s in range(len(seqs))]
-
-    def run(task):
-        r, s = task
-        return _locate_chain(seqs[s], sets[r].templates, config.measure, config.search_radius, config.min_score)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(t) for t in tasks]
-    widened = int(trace.widened.sum()) + sum(wid for _, wid in outcomes)
+    # tracking only the frame-0 set; each set is one chain of priors through
+    # every sequence, and one call localizes all chains in a navigator
+    widened = int(trace.widened.sum())
     tables = []
-    for s in range(len(seqs)):
-        located = np.stack([outcomes[r * len(seqs) + s][0] for r in range(len(sets))])  # (sets, n, v, 2)
+    for seq in dataset.interleaved:
+        navs = seq.navigators()
+        located = np.zeros((len(sets), len(navs), len(rois), 2))
+        priors = None
+        for n, nav in enumerate(navs):
+            priors, _, wid = locate_in_navigator(
+                nav, sets, priors, config.measure, config.search_radius, config.min_score
+            )
+            located[:, n] = priors
+            widened += int(wid.sum())
         # trace (r, v, 2) against navigators (sets, n, v, 2) -> (r, n, v)
         d = trace.positions[:, None] - located
         tables.append(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))

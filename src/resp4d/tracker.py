@@ -26,11 +26,11 @@ from .imgcore import Frame, ReferenceSequence
 from .matcher import (
     CCOEFF_NORMED,
     MEASURES,
-    MatchResult,
     SearchRegion,
     Template,
     cut_template,
     match_template,
+    match_templates,
     template_degenerate,
 )
 
@@ -214,26 +214,39 @@ def track_reference(
 
 def locate_in_navigator(
     nav: Frame,
-    templates: TemplateSet | list[Template],
-    prior: list[tuple[float, float]] | None = None,
+    template_sets: list[TemplateSet],
+    priors: np.ndarray | None = None,
     measure: str = CCOEFF_NORMED,
     search_radius: int | None = DEFAULT_SEARCH_RADIUS,
     min_score: float = DEFAULT_MIN_SCORE,
-) -> list[MatchResult]:
-    """Find every vessel template in one navigator frame.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Find every vessel of R template sets in one navigator frame.
 
-    ``prior`` supplies per-vessel positions to centre the search regions on
-    (usually the previous navigator of the same sequence); without it, or with
-    ``search_radius=None``, the whole frame is searched.
+    Each set ``r`` is one chain followed through a sequence; ``priors[r, v]``
+    (shape ``(R, V, 2)``, usually the chain's positions in the previous
+    navigator) centres the search region for vessel ``v``.  Without priors,
+    or with ``search_radius=None``, the whole frame is searched.  A chain
+    whose regional best scores below ``min_score`` widens once to the full
+    frame, exactly as ``match_template`` does.
+
+    Per vessel, ``match_templates`` scores all R templates in one pass over
+    the union of the chains' regions.  Returns positions ``(R, V, 2)``,
+    scores ``(R, V)`` and widened flags ``(R, V)``.
     """
-    tpl_list = templates.templates if isinstance(templates, TemplateSet) else templates
-    if prior is not None and len(prior) != len(tpl_list):
-        raise ValueError(f"{len(prior)} priors for {len(tpl_list)} templates")
-    results = []
-    for v, tpl in enumerate(tpl_list):
-        if prior is None or search_radius is None:
-            region = None
-        else:
-            region = SearchRegion(center=(float(prior[v][0]), float(prior[v][1])), radius=search_radius)
-        results.append(match_template(nav.pixels, tpl, measure, region=region, min_score=min_score))
-    return results
+    sets = [s.templates for s in template_sets]
+    n_sets, n_vessels = len(sets), len(sets[0])
+    if priors is not None:
+        priors = np.asarray(priors, dtype=np.float64)
+        if priors.shape != (n_sets, n_vessels, 2):
+            raise ValueError(f"priors of shape {priors.shape} for {n_sets} sets of {n_vessels} templates")
+    positions = np.zeros((n_sets, n_vessels, 2))
+    scores = np.zeros((n_sets, n_vessels))
+    widened = np.zeros((n_sets, n_vessels), dtype=bool)
+    for v in range(n_vessels):
+        regions = None
+        if priors is not None and search_radius is not None:
+            regions = [SearchRegion(tuple(priors[r, v]), search_radius) for r in range(n_sets)]
+        positions[:, v], scores[:, v], widened[:, v] = match_templates(
+            nav.pixels, [s[v] for s in sets], measure, regions, min_score
+        )
+    return positions, scores, widened

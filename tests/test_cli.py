@@ -106,6 +106,22 @@ def test_bad_choice_is_a_usage_error(workdir):
     assert exc.value.code == 64
 
 
+def test_jobs_flag_is_gone(workdir):
+    root, dataset_dir = workdir
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "reconstruct",
+                "--dataset", str(dataset_dir),
+                "--rois", str(dataset_dir / "rois.json"),
+                "--out", str(root / "rec_jobs"),
+                "--jobs", "2",
+            ]
+        )
+    assert exc.value.code == 64
+    assert not (root / "rec_jobs").exists()
+
+
 def test_missing_rois_file_fails_validation(workdir, capsys):
     root, dataset_dir = workdir
     code = main(
@@ -213,7 +229,7 @@ def test_sweep_rejects_a_nan_threshold(workdir, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error: threshold must be finite")
-    assert not (root / "sweep_nan" / "rates.csv").exists()
+    assert not (root / "sweep_nan").exists()
 
 
 def test_sweep_timing_flag_writes_timing_csv(workdir):

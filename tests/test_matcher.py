@@ -12,6 +12,7 @@ from resp4d.matcher import (
     Template,
     cut_template,
     find_peak_subpixel,
+    match_scores,
     match_template,
     placement_bounds,
     response_map,
@@ -51,6 +52,23 @@ def test_response_matches_brute_force(measure):
     want = _brute_force_response(img, tpl, measure)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_stacked_scores_match_brute_force(measure):
+    # 35 rows of 41 placements span several bands of the im2col product; the
+    # constant rows give zero-energy patches
+    img = _rng_image(12)
+    img[:8, :20] = 300.0
+    templates = [cut_template(img, x, y, 8, 6) for x, y in ((9, 7), (20, 15), (3.5, 20.25))]
+    full = placement_bounds(img.shape, (6, 8))
+    got = match_scores(img, templates, measure, full)
+    assert got.shape == (3, 35, 41)
+    for tpl, scores in zip(templates, got):
+        assert np.max(np.abs(scores - _brute_force_response(img, tpl, measure))) < 1e-9
+    x0, x1, y0, y1 = box = (4, 30, 2, 33)
+    boxed = match_scores(img, templates, measure, box)
+    np.testing.assert_allclose(boxed, got[:, y0 : y1 + 1, x0 : x1 + 1], rtol=0, atol=1e-12)
 
 
 def test_self_match_is_unity():

@@ -2,24 +2,28 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from resp4d import reconstructor, tracker
 from resp4d.errors import ValidationError
 from resp4d.imgcore import DATA, NAVIGATOR, Dataset, Frame, InterleavedSequence, ReferenceSequence
+from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, match_template
 from resp4d.phantom import BreathingSignal, VesselSpec, generate_phantom, oracle_matches, render_frame, suggested_rois
 from resp4d.reconstructor import (
     BASELINE_METHOD,
     UPDATING_METHOD,
     ReconstructionConfig,
     average_bin,
+    displacement_tables,
     reconstruct,
     save_reconstruction,
 )
-from resp4d.tracker import Roi
+from resp4d.tracker import FIXED, UPDATING, Roi, locate_in_navigator, track_reference
 
-from conftest import replay_spec
+from conftest import replay_spec, split_vessel_spec
 
 
 def _decisions(report):
@@ -136,12 +140,82 @@ def test_reconstruction_is_deterministic(replay):
     assert _decisions(ra) == _decisions(rb)
 
 
-def test_parallel_jobs_match_serial(replay):
-    _, dataset, _, rois = replay
-    va, ra = reconstruct(dataset, rois, ReconstructionConfig(jobs=1))
-    vb, rb = reconstruct(dataset, rois, ReconstructionConfig(jobs=3))
-    assert np.array_equal(va.voxels, vb.voxels)
-    assert _decisions(ra) == _decisions(rb)
+def _per_call_tables(dataset, rois, config):
+    """Reference localization: one match_template call per (set, navigator, vessel), priors chained per set."""
+    mode, radius = (FIXED, None) if config.method == BASELINE_METHOD else (UPDATING, config.search_radius)
+    ref = dataset.reference(config.reference)
+    trace, sets = track_reference(ref, rois, config.measure, radius, mode, config.min_score)
+    chains = []
+    for seq in dataset.interleaved:
+        navs = seq.navigators()
+        pos = np.zeros((len(sets), len(navs), len(rois), 2))
+        score, wid = np.zeros(pos.shape[:3]), np.zeros(pos.shape[:3], dtype=bool)
+        for r, n, v in np.ndindex(len(sets), len(navs), len(rois)):
+            region = None
+            if n > 0 and config.search_radius is not None:
+                region = SearchRegion(tuple(pos[r, n - 1, v]), config.search_radius)
+            res = match_template(navs[n].pixels, sets[r].templates[v], config.measure, region, config.min_score)
+            pos[r, n, v], score[r, n, v], wid[r, n, v] = res.position, res.score, res.widened
+        chains.append((pos, score, wid))
+    tables = [np.hypot(*np.moveaxis(trace.positions[:, None] - pos, -1, 0)) for pos, _, _ in chains]
+    return sets, tables, chains, int(trace.widened.sum()) + int(sum(w.sum() for _, _, w in chains))
+
+
+@pytest.fixture(scope="module")
+def split_session():
+    """The c4 split-vessel phantom, shortened so the per-call reference stays quick."""
+    spec = replace(split_vessel_spec(), reference_frames=24, sequences=2)
+    dataset, truth = generate_phantom(spec, seed=5)
+    return spec, dataset, truth, suggested_rois(spec, truth)
+
+
+@pytest.mark.parametrize("search_radius", [10, None])
+@pytest.mark.parametrize("measure", [CCOEFF_NORMED, CCORR_NORMED])
+@pytest.mark.parametrize("phantom", ["replay", "split"])
+def test_batched_localization_matches_per_call_path(replay, split_session, monkeypatch, phantom, measure, search_radius):
+    _, dataset, _, rois = replay if phantom == "replay" else split_session
+    config = ReconstructionConfig(measure=measure, search_radius=search_radius)
+    sets, want_tables, chains, want_widened = _per_call_tables(dataset, rois, config)
+    # every navigator, given the reference's own priors, scores and places every chain alike
+    for seq, (pos, score, wid) in zip(dataset.interleaved, chains):
+        for n, nav in enumerate(seq.navigators()):
+            got = locate_in_navigator(nav, sets, pos[:, n - 1] if n else None, measure, search_radius, config.min_score)
+            np.testing.assert_allclose(got[0], pos[:, n], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got[1], score[:, n], rtol=0, atol=1e-9)
+            assert np.array_equal(got[2], wid[:, n])
+    tables, widened = displacement_tables(dataset, rois, config)
+    assert widened == want_widened
+    for got, want in zip(tables, want_tables, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    # the same pipeline fed the per-call tables bins the same frames
+    volume, report = reconstruct(dataset, rois, config)
+    with monkeypatch.context() as patched:
+        patched.setattr(reconstructor, "displacement_tables", lambda *args: (want_tables, want_widened))
+        want_volume, want_report = reconstruct(dataset, rois, config)
+    assert report.widened_count == want_report.widened_count == want_widened
+    for s, want_accepted in enumerate(want_report.accepted):
+        assert np.array_equal(report.accepted[s], want_accepted)
+        np.testing.assert_allclose(report.totals[s], want_report.totals[s], rtol=0, atol=1e-9)
+    assert np.array_equal(volume.voxels, want_volume.voxels)
+
+
+def test_localization_is_one_call_per_navigator(replay, monkeypatch):
+    spec, dataset, _, rois = replay
+    calls = {"locate": 0, "match": 0}
+
+    def counting(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(reconstructor, "locate_in_navigator", counting("locate", reconstructor.locate_in_navigator))
+    monkeypatch.setattr(tracker, "match_template", counting("match", tracker.match_template))
+    reconstruct(dataset, rois, ReconstructionConfig(method=UPDATING_METHOD))
+    assert calls["locate"] == sum(len(seq.navigators()) for seq in dataset.interleaved)
+    # reference tracking only: every navigator's R x V matches go through one batched call
+    assert calls["match"] == (spec.reference_frames - 1) * len(rois)
 
 
 def test_reference_two_works_as_well(replay):
@@ -160,7 +234,7 @@ def test_reference_two_works_as_well(replay):
         (dict(search_radius=0), "search radius"),
         (dict(aggregation="median"), "aggregation"),
         (dict(threshold_px=float("nan")), "threshold"),
-        (dict(jobs=0), "jobs"),
+        (dict(search_radius=-3), "search radius"),
         (dict(threshold_px=float("inf")), "threshold"),
         (dict(threshold_px=float("-inf")), "threshold"),
         (dict(min_score=float("nan")), "min score"),

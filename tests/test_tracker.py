@@ -8,7 +8,7 @@ import pytest
 
 from resp4d.errors import TrackingError, ValidationError
 from resp4d.imgcore import NAVIGATOR, Frame, ReferenceSequence
-from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED
+from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, match_template
 from resp4d.phantom import generate_phantom, render_frame, suggested_rois
 from resp4d.tracker import (
     FIXED,
@@ -163,35 +163,58 @@ def test_unknown_mode_and_measure_are_rejected():
 def test_locate_in_same_frame_is_exact():
     ref = _sequence([(24.0, 24.0)] * 2)
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    results = locate_in_navigator(ref.frames[0], sets[0], prior=[(18.0, 18.0)])
-    assert len(results) == 1
-    assert results[0].position == (18.0, 18.0)
-    assert results[0].score == pytest.approx(1.0, abs=1e-9)
-    assert not results[0].widened
+    positions, scores, widened = locate_in_navigator(ref.frames[0], sets, priors=[[(18.0, 18.0)]])
+    assert positions.shape == (1, 1, 2) and scores.shape == widened.shape == (1, 1)
+    assert tuple(positions[0, 0]) == (18.0, 18.0)
+    assert scores[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert not widened.any()
 
 
 def test_locate_follows_a_shift_within_the_region():
     ref = _sequence([(24.0, 24.0)])
     shifted = _sequence([(24.0, 27.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    (res,) = locate_in_navigator(shifted.frames[0], sets[0], prior=[(18.0, 18.0)], search_radius=5)
-    assert res.position == (18.0, 21.0)
-    assert not res.widened
+    positions, _, widened = locate_in_navigator(shifted.frames[0], sets, priors=[[(18.0, 18.0)]], search_radius=5)
+    assert tuple(positions[0, 0]) == (18.0, 21.0)
+    assert not widened.any()
 
 
 def test_locate_widens_when_the_prior_is_wrong():
     ref = _sequence([(24.0, 24.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    (res,) = locate_in_navigator(ref.frames[0], sets[0], prior=[(2.0, 2.0)], search_radius=3)
-    assert res.widened
-    assert res.position == (18.0, 18.0)
+    positions, _, widened = locate_in_navigator(ref.frames[0], sets, priors=[[(2.0, 2.0)]], search_radius=3)
+    assert widened[0, 0]
+    assert tuple(positions[0, 0]) == (18.0, 18.0)
 
 
 def test_locate_rejects_mismatched_priors():
     ref = _sequence([(24.0, 24.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
     with pytest.raises(ValueError, match="priors"):
-        locate_in_navigator(ref.frames[0], sets[0], prior=[(0.0, 0.0), (1.0, 1.0)])
+        locate_in_navigator(ref.frames[0], sets, priors=[[(0.0, 0.0), (1.0, 1.0)]])
+    with pytest.raises(ValueError, match="priors"):
+        locate_in_navigator(ref.frames[0], sets * 2, priors=[[(0.0, 0.0)]])
+
+
+@pytest.mark.parametrize("min_score, widened", [(-1.0, [False, False, False]), (0.5, [True, False, False])])
+def test_locate_batches_chains_as_separate_calls_would(min_score, widened):
+    # three template sets of a blob moving down; chain 0's prior sits by the
+    # corner, so its region is clipped by the frame while the union of the
+    # three regions reaches the blob
+    _, sets = track_reference(_sequence([(24.0, 24.0 + i) for i in range(3)]), _ROI, mode=UPDATING)
+    nav = _sequence([(24.0, 25.0)]).frames[0]
+    priors = np.array([[(1.0, 1.5)], [(18.0, 19.0)], [(17.0, 18.0)]])
+    positions, scores, flags = locate_in_navigator(nav, sets, priors, search_radius=3, min_score=min_score)
+    assert math.ceil(priors[0, 0, 0] - 3) < 0
+    assert flags[:, 0].tolist() == widened
+    for r, tset in enumerate(sets):
+        region = SearchRegion(tuple(priors[r, 0]), 3)
+        want = match_template(nav.pixels, tset.templates[0], region=region, min_score=min_score)
+        assert want.widened == flags[r, 0]
+        np.testing.assert_allclose(positions[r, 0], want.position, rtol=0, atol=1e-9)
+        assert scores[r, 0] == pytest.approx(want.score, abs=1e-9)
+    if not widened[0]:
+        assert positions[0, 0, 0] <= 4.0 and positions[0, 0, 1] <= 4.5  # stayed inside its own clipped region
 
 
 def test_empty_roi_rectangle_is_rejected():
