@@ -14,6 +14,7 @@ A dataset directory looks like::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -203,13 +204,57 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: Path):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _list_of(check, length: int | None = None):
+    def is_list(value) -> bool:
+        return isinstance(value, list) and length in (None, len(value)) and all(map(check, value))
+
+    return is_list
+
+
+_SEQUENCE_KEYS = {
+    "frame_count": (_is_count, "a non-negative integer"),
+    "kinds": (_list_of(_is_text), "a list of strings"),
+    "timestamps_ms": (_list_of(_is_number), "a list of finite numbers"),
+    "slice_positions_mm": (_list_of(_is_number), "a list of finite numbers"),
+}
+_DATASET_KEYS = {
+    "frame_shape": (_list_of(lambda v: _is_count(v) and v > 0, 2), "two positive integers"),
+    "in_plane_spacing_mm": (_list_of(lambda v: _is_number(v) and v > 0, 2), "two positive numbers"),
+    "slice_gap_mm": (_is_number, "a finite number"),
+    "frame_period_ms": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "sequences": (_list_of(_is_text), "a list of strings"),
+    "references": (_list_of(_is_text), "a list of strings"),
+}
+
+
+def _load_meta(path: Path, schema: dict) -> dict:
+    """Parse a metadata file and check every key of ``schema`` is present and well typed."""
     if not path.is_file():
         raise DatasetIOError(f"missing file: {path}")
     try:
-        return json.loads(path.read_text())
+        meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetIOError(f"unparseable JSON in {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DatasetIOError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    for key, (check, expected) in schema.items():
+        if key not in meta:
+            raise DatasetIOError(f"{path}: missing key {key!r}")
+        if not check(meta[key]):
+            raise DatasetIOError(f"{path}: key {key!r} must be {expected}, got {meta[key]!r}")
+    return meta
 
 
 def _write_sequence(dirpath: Path, frames: list[Frame]) -> None:
@@ -226,7 +271,7 @@ def _write_sequence(dirpath: Path, frames: list[Frame]) -> None:
 
 
 def _read_sequence(dirpath: Path, frame_shape: tuple[int, int]) -> list[Frame]:
-    meta = _load_json(dirpath / "seq.json")
+    meta = _load_meta(dirpath / "seq.json", _SEQUENCE_KEYS)
     count = meta["frame_count"]
     for key in ("kinds", "timestamps_ms", "slice_positions_mm"):
         if len(meta[key]) != count:
@@ -283,7 +328,7 @@ def write_dataset(dataset: Dataset, root: Path | str) -> Path:
 def load_dataset(root: Path | str) -> Dataset:
     """Load and validate a dataset directory written by :func:`write_dataset`."""
     root = Path(root)
-    meta = _load_json(root / "dataset.json")
+    meta = _load_meta(root / "dataset.json", _DATASET_KEYS)
     frame_shape = tuple(meta["frame_shape"])
     ref_names = meta["references"]
     if len(ref_names) != 2:

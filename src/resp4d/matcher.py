@@ -14,11 +14,13 @@ domain in float64:
 Scores live in [-1, 1] (``ccorr_normed`` stays in [0, 1] for non-negative
 images).  Patch statistics come from integral images, which are exact for
 integer-valued inputs, and are shared by every template scored over the same
-placement box.  The cross term of a single template is an ``einsum`` over the
-strided window view; for R > 1 templates it is one matrix product of an
-im2col copy of the windows with the stacked ``(n, R)`` template matrix, taken
-in bands of placements (the shared-numerator, integral-image-denominator form
-of J. P. Lewis, "Fast Normalized Cross-Correlation", Vision Interface 1995).
+placement box.  The cross term is computed in one of three ways, following
+J. P. Lewis, "Fast Normalized Cross-Correlation", Vision Interface 1995:
+one template searched over the whole frame correlates in the frequency
+domain (the template's spectrum is kept on the template); one template over
+a smaller box is an ``einsum`` over the strided window view; R > 1 templates
+are one matrix product of an im2col copy of the windows with the stacked
+``(n, R)`` template matrix, taken in bands of placements.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ MEASURES = (CCOEFF_NORMED, CCORR_NORMED)
 # has to absorb float rounding
 _ENERGY_EPS = 1e-7
 _VARIANCE_EPS = 1e-12
-# refinement is skipped when the integer peak already attains the measure's
-# upper bound: the fitted vertex would exceed the attainable score, which only
-# happens for exact lattice matches
+# a peak within this of the measure's upper bound is an exact lattice match:
+# refinement is skipped (the fitted vertex would exceed the attainable score)
+# and the bound itself is reported, whichever kernel rounded the peak
 _CAP_SLACK = 1e-9
+_SCORE_CAP = 1.0
 # placements per band of the im2col copy when several templates share a box:
 # bounds the copy at a few hundred kB for the template sizes in use
 _BAND_PLACEMENTS = 512
@@ -72,6 +75,9 @@ class Template:
         self._energy_zero_mean = float((self._zero_mean * self._zero_mean).sum())
         self._energy_raw = float((self.pixels * self.pixels).sum())
         self.variance = self._energy_zero_mean / self.pixels.size
+        # (frame shape, measure) -> conjugate spectrum of the kernel zero-padded
+        # to the frame, for whole-frame searches
+        self._spectra: dict = {}
 
     @property
     def height(self) -> int:
@@ -177,6 +183,25 @@ def placement_bounds(
     return x0, x1, y0, y1
 
 
+def placement_boxes(
+    image_shape: tuple[int, int],
+    template_shape: tuple[int, int],
+    centers: np.ndarray | None = None,
+    radius: int | None = None,
+) -> np.ndarray:
+    """``placement_bounds`` for R regions at once, shape ``(R, 4)``.
+
+    Row ``r`` bounds the placements within ``radius`` of ``centers[r]``
+    (x, y); without centres or radius there is one whole-frame row.
+    """
+    full = placement_bounds(image_shape, template_shape)
+    if centers is None or radius is None:
+        return np.array([full])
+    corners = np.concatenate([np.ceil(centers - radius), np.floor(centers + radius)], axis=1)
+    top = (full[1], full[3]) * 2
+    return np.minimum(np.maximum(corners, 0), top).astype(np.intp)[:, [0, 2, 1, 3]]
+
+
 def _window_sums(crop: np.ndarray, th: int, tw: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-placement patch sum and sum of squares via integral images."""
     h, w = crop.shape
@@ -228,7 +253,6 @@ def match_scores(image, templates: list[Template], measure: str,
             )
     x0, x1, y0, y1 = bounds
     crop = img[y0 : y1 + th, x0 : x1 + tw]
-    windows = sliding_window_view(crop, (th, tw))
     s1, s2 = _window_sums(crop, th, tw)
     if measure == CCOEFF_NORMED:
         kernels = [tpl._zero_mean for tpl in templates]
@@ -239,13 +263,23 @@ def match_scores(image, templates: list[Template], measure: str,
         kernels = [tpl.pixels for tpl in templates]
         energies = [tpl._energy_raw for tpl in templates]
 
+    oh, ow = s2.shape
     if len(templates) == 1:
-        cross = np.einsum("ijkl,kl->ij", windows, kernels[0])
+        if crop.shape == img.shape:
+            # the whole frame: valid placements never wrap, so the circular
+            # correlation needs no padding beyond the frame
+            spectrum = templates[0]._spectra.get((img.shape, measure))
+            if spectrum is None:
+                spectrum = np.conj(np.fft.rfft2(kernels[0], s=img.shape))
+                templates[0]._spectra[(img.shape, measure)] = spectrum
+            cross = np.fft.irfft2(np.fft.rfft2(img) * spectrum, s=img.shape)[:oh, :ow]
+        else:
+            cross = np.einsum("ijkl,kl->ij", sliding_window_view(crop, (th, tw)), kernels[0])
         return _normalize(cross, s1, s2, None if sums is None else sums[0], energies[0], th * tw)[None]
 
     # R > 1: an im2col copy of the windows times the stacked templates, in
     # bands of rows so the copy stays small
-    oh, ow = s2.shape
+    windows = sliding_window_view(crop, (th, tw))
     stacked = np.stack([k.ravel() for k in kernels])  # (R, n)
     if sums is not None:
         sums = np.array(sums)[:, None]
@@ -284,6 +318,11 @@ def _normalize(cross, s1, s2, sums, energies, n: int) -> np.ndarray:
     return np.where(flat, 0.0, num / np.sqrt(energies * np.where(flat, 1.0, patch_energy)))
 
 
+def _cap_hits(peaks, score_cap: float):
+    """Which peaks attain ``score_cap``: exact lattice matches, kept unrefined and scored at the cap."""
+    return peaks >= score_cap - _CAP_SLACK
+
+
 def _parabolic_offset(a: float, b: float, c: float) -> float:
     """Vertex of the parabola through (-1, a), (0, b), (1, c), clamped to [-0.5, 0.5]."""
     denom = 2.0 * (2.0 * b - a - c)
@@ -292,15 +331,22 @@ def _parabolic_offset(a: float, b: float, c: float) -> float:
     return min(0.5, max(-0.5, (c - a) / denom))
 
 
+def _parabolic_offsets(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``_parabolic_offset`` elementwise."""
+    denom = 2.0 * (2.0 * b - a - c)
+    offset = np.divide(c - a, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    return np.clip(offset, -0.5, 0.5)
+
+
 def find_peak_subpixel(response: np.ndarray, score_cap: float | None = None) -> MatchResult:
     """Locate the response maximum and refine it to subpixel precision.
 
     The integer argmax (ties: smallest row-major index) is refined
     independently per axis by a parabolic fit through the peak and its two
     neighbours.  The integer coordinate is kept for an axis at the response
-    border or when the parabola degenerates.  With ``score_cap`` given,
-    refinement is skipped entirely once the peak attains the cap (an exact
-    lattice match; the fitted vertex would exceed the attainable score).
+    border or when the parabola degenerates.  With ``score_cap`` given, a
+    peak that attains the cap (an exact lattice match; the fitted vertex
+    would exceed the attainable score) is not refined and scores the cap.
     """
     resp = np.asarray(response, dtype=np.float64)
     if resp.ndim != 2 or resp.size == 0:
@@ -309,12 +355,40 @@ def find_peak_subpixel(response: np.ndarray, score_cap: float | None = None) -> 
     iy, ix = divmod(int(np.argmax(resp)), cols)
     peak = float(resp[iy, ix])
     x, y = float(ix), float(iy)
-    if score_cap is None or peak < score_cap - _CAP_SLACK:
-        if 0 < ix < cols - 1:
-            x += _parabolic_offset(float(resp[iy, ix - 1]), peak, float(resp[iy, ix + 1]))
-        if 0 < iy < rows - 1:
-            y += _parabolic_offset(float(resp[iy - 1, ix]), peak, float(resp[iy + 1, ix]))
+    if score_cap is not None and _cap_hits(peak, score_cap):
+        return MatchResult(position=(x, y), score=float(score_cap))
+    if 0 < ix < cols - 1:
+        x += _parabolic_offset(float(resp[iy, ix - 1]), peak, float(resp[iy, ix + 1]))
+    if 0 < iy < rows - 1:
+        y += _parabolic_offset(float(resp[iy - 1, ix]), peak, float(resp[iy + 1, ix]))
     return MatchResult(position=(x, y), score=peak)
+
+
+def pick_peaks(response: np.ndarray, boxes: np.ndarray, score_cap: float | None = None):
+    """``find_peak_subpixel`` of ``response[r]`` cut to ``boxes[r]``, for all R at once.
+
+    ``response`` is ``(R, rows, cols)`` and ``boxes`` ``(R, 4)`` inclusive
+    (x0, x1, y0, y1) indices into it.  Returns positions ``(R, 2)``, relative
+    to each box's corner (x0, y0), and scores ``(R,)``: bit for bit what
+    ``find_peak_subpixel`` gives on each cut.
+    """
+    n, rows, cols = response.shape
+    x0, x1, y0, y1 = boxes.T
+    in_rows = (np.arange(rows) >= y0[:, None]) & (np.arange(rows) <= y1[:, None])
+    in_cols = (np.arange(cols) >= x0[:, None]) & (np.arange(cols) <= x1[:, None])
+    masked = np.where(in_rows[:, :, None] & in_cols[:, None, :], response, -np.inf)
+    # row-major argmax over the union visits each box's placements in the
+    # box's own row-major order, so ties resolve as in find_peak_subpixel
+    iy, ix = np.divmod(masked.reshape(n, -1).argmax(axis=1), cols)
+    r = np.arange(n)
+    peaks = response[r, iy, ix]
+    hits = np.zeros(n, dtype=bool) if score_cap is None else _cap_hits(peaks, score_cap)
+    left, right = response[r, iy, np.maximum(ix - 1, 0)], response[r, iy, np.minimum(ix + 1, cols - 1)]
+    up, down = response[r, np.maximum(iy - 1, 0), ix], response[r, np.minimum(iy + 1, rows - 1), ix]
+    dx = np.where(~hits & (x0 < ix) & (ix < x1), _parabolic_offsets(left, peaks, right), 0.0)
+    dy = np.where(~hits & (y0 < iy) & (iy < y1), _parabolic_offsets(up, peaks, down), 0.0)
+    positions = np.stack([(ix - x0) + dx, (iy - y0) + dy], axis=1)
+    return positions, peaks if score_cap is None else np.where(hits, score_cap, peaks)
 
 
 def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
@@ -325,49 +399,56 @@ def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
     below ``min_score`` the search widens once to the full frame and the
     full-frame best is returned with ``widened`` set, whatever its score.
     """
-    regions = None if region is None else [region]
-    positions, scores, widened = match_templates(image, [template], measure, regions, min_score)
+    img = _as_image(image)
+    box = np.array([placement_bounds(img.shape, template.pixels.shape, region)])
+    positions, scores, widened = _search(img, [template], measure, box, region is not None, min_score)
     x, y = positions[0].tolist()
     return MatchResult(position=(x, y), score=float(scores[0]), widened=bool(widened[0]))
 
 
 def match_templates(image, templates: list[Template], measure: str = CCOEFF_NORMED,
-                    regions: list[SearchRegion] | None = None, min_score: float = 0.5):
+                    centers: np.ndarray | None = None, radius: int | None = None,
+                    min_score: float = 0.5):
     """``match_template`` for R same-shape templates, each in its own region.
 
-    All R templates are scored in one pass over the union of the regions;
-    each peak is then taken from its own region, so borders behave as if the
+    Template ``r`` is searched within ``radius`` of ``centers[r]`` (x, y);
+    without centres or radius every template searches the whole frame.  All
+    R templates are scored in one pass over the union of the regions; each
+    peak is then taken from its own region, so borders behave as if the
     region had been searched alone.  Templates whose regional best scores
     below ``min_score`` widen together to one full-frame pass.  Returns
     positions ``(R, 2)``, scores ``(R,)`` and widened flags ``(R,)``.
     """
     img = _as_image(image)
-    shape = templates[0].pixels.shape
-    if regions is not None and len(regions) != len(templates):
-        raise ValueError(f"{len(regions)} regions for {len(templates)} templates")
-    boxes = [placement_bounds(img.shape, shape, region) for region in regions or [None] * len(templates)]
+    if centers is not None and len(centers) != len(templates):
+        raise ValueError(f"{len(centers)} centres for {len(templates)} templates")
+    boxes = placement_boxes(img.shape, templates[0].pixels.shape, centers, radius)
+    return _search(img, templates, measure, boxes, centers is not None and radius is not None, min_score)
+
+
+def _search(img: np.ndarray, templates: list[Template], measure: str, boxes: np.ndarray,
+            regional: bool, min_score: float):
+    """Best placement of each template in its box, widening regional misses to the full frame."""
     positions, scores = _best_in_boxes(img, templates, boxes, measure)
-    widened = np.zeros(len(templates), dtype=bool) if regions is None else scores < min_score
+    widened = scores < min_score if regional else np.zeros(len(templates), dtype=bool)
     redo = widened.nonzero()[0]
     if len(redo):
-        full = placement_bounds(img.shape, shape, None)
-        positions[redo], scores[redo] = _best_in_boxes(
-            img, [templates[r] for r in redo], [full] * len(redo), measure
-        )
+        full = np.array([placement_bounds(img.shape, templates[0].pixels.shape)])
+        positions[redo], scores[redo] = _best_in_boxes(img, [templates[r] for r in redo], full, measure)
     return positions, scores, widened
 
 
-def _best_in_boxes(img: np.ndarray, templates: list[Template], boxes: list, measure: str):
-    """Subpixel best placement of each template within its own box, from one union response."""
-    x0s, x1s, y0s, y1s = zip(*boxes)
-    ux0, ux1, uy0, uy1 = min(x0s), max(x1s), min(y0s), max(y1s)
+def _best_in_boxes(img: np.ndarray, templates: list[Template], boxes: np.ndarray, measure: str):
+    """Subpixel best placement of each template within its own box, from one union response.
+
+    ``boxes`` is ``(R, 4)``, or ``(1, 4)`` for one box shared by all R.
+    """
+    ux0, _, uy0, _ = boxes.min(axis=0).tolist()
+    _, ux1, _, uy1 = boxes.max(axis=0).tolist()
     response = match_scores(img, templates, measure, (ux0, ux1, uy0, uy1))
-    positions = np.zeros((len(boxes), 2))
-    scores = np.zeros(len(boxes))
-    for i, (x0, x1, y0, y1) in enumerate(boxes):
-        peak = find_peak_subpixel(
-            response[i, y0 - uy0 : y1 - uy0 + 1, x0 - ux0 : x1 - ux0 + 1], score_cap=1.0
-        )
-        positions[i] = (peak.position[0] + x0, peak.position[1] + y0)
-        scores[i] = peak.score
-    return positions, scores
+    if len(templates) == 1:
+        peak = find_peak_subpixel(response[0], score_cap=_SCORE_CAP)
+        return np.array([peak.position]) + (ux0, uy0), np.array([peak.score])
+    boxes = np.broadcast_to(boxes, (len(templates), 4))
+    positions, scores = pick_peaks(response, boxes - (ux0, ux0, uy0, uy0), score_cap=_SCORE_CAP)
+    return positions + boxes[:, [0, 2]], scores

@@ -3,8 +3,12 @@
 Two modes:
 
 ``fixed``
-    templates cut from frame 0 are matched over the full frame everywhere
-    (the search radius is treated as unbounded).
+    templates cut from frame 0 are matched over the full frame in every
+    reference frame (``track_reference`` treats the search radius as
+    unbounded).  In the interleaved navigators ``locate_in_navigator``
+    searches for them like for any other template set: over the full frame
+    in a sequence's first navigator, then within the search radius of the
+    previous navigator's position.
 
 ``updating``
     each frame is searched in a small region around the previous position
@@ -243,10 +247,8 @@ def locate_in_navigator(
     scores = np.zeros((n_sets, n_vessels))
     widened = np.zeros((n_sets, n_vessels), dtype=bool)
     for v in range(n_vessels):
-        regions = None
-        if priors is not None and search_radius is not None:
-            regions = [SearchRegion(tuple(priors[r, v]), search_radius) for r in range(n_sets)]
         positions[:, v], scores[:, v], widened[:, v] = match_templates(
-            nav.pixels, [s[v] for s in sets], measure, regions, min_score
+            nav.pixels, [s[v] for s in sets], measure,
+            None if priors is None else priors[:, v], search_radius, min_score,
         )
     return positions, scores, widened

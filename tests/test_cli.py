@@ -164,6 +164,62 @@ def test_truncated_frame_stack_fails_validation(workdir, tmp_path, capsys):
     assert "il000" in err
 
 
+def _drop(key):
+    return lambda meta: meta.pop(key)
+
+
+def _set(key, value):
+    return lambda meta: meta.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("il000/seq.json", _drop("kinds"), "missing key 'kinds'"),
+        ("il000/seq.json", _set("frame_count", "11"), "key 'frame_count' must be a non-negative integer"),
+        ("il000/seq.json", _set("timestamps_ms", None), "key 'timestamps_ms' must be a list"),
+        ("ref1/seq.json", _set("slice_positions_mm", [0.0, "a"]), "key 'slice_positions_mm' must be a list"),
+        ("dataset.json", _drop("references"), "missing key 'references'"),
+        ("dataset.json", _set("frame_shape", [0, 0]), "key 'frame_shape' must be two positive integers"),
+        ("dataset.json", _set("frame_shape", [48]), "key 'frame_shape' must be two positive integers"),
+        ("dataset.json", _set("sequences", "ref1"), "key 'sequences' must be a list of strings"),
+        ("dataset.json", _set("frame_period_ms", float("nan")), "key 'frame_period_ms' must be a positive number"),
+    ],
+    ids=[
+        "seq-no-kinds",
+        "seq-count-string",
+        "seq-timestamps-null",
+        "seq-position-string",
+        "dataset-no-references",
+        "dataset-zero-shape",
+        "dataset-short-shape",
+        "dataset-sequences-string",
+        "dataset-period-nan",
+    ],
+)
+def test_malformed_metadata_fails_validation(workdir, tmp_path, capsys, name, edit, message):
+    _, dataset_dir = workdir
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset_dir, broken)
+    meta = json.loads((broken / name).read_text())
+    edit(meta)
+    (broken / name).write_text(json.dumps(meta))
+    assert main(["validate", "--dataset", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(broken / name) in err and message in err
+
+
+def test_metadata_must_be_an_object(workdir, tmp_path, capsys):
+    _, dataset_dir = workdir
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset_dir, broken)
+    (broken / "il000" / "seq.json").write_text("[1, 2]")
+    assert main(["validate", "--dataset", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected a JSON object, got list" in err
+
+
 def test_sweep_writes_the_rate_grid(workdir, capsys):
     root, dataset_dir = workdir
     out_dir = root / "sweep"

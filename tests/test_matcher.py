@@ -14,7 +14,9 @@ from resp4d.matcher import (
     find_peak_subpixel,
     match_scores,
     match_template,
+    pick_peaks,
     placement_bounds,
+    placement_boxes,
     response_map,
 )
 
@@ -69,6 +71,91 @@ def test_stacked_scores_match_brute_force(measure):
     x0, x1, y0, y1 = box = (4, 30, 2, 33)
     boxed = match_scores(img, templates, measure, box)
     np.testing.assert_allclose(boxed, got[:, y0 : y1 + 1, x0 : x1 + 1], rtol=0, atol=1e-12)
+
+
+# --- whole-frame single-template search (frequency-domain cross term) --------
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """Count forward real FFTs, which only the whole-frame single-template kernel takes."""
+    calls = []
+    rfft2 = np.fft.rfft2
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rfft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counted)
+    return calls
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize(
+    "shape, cut",
+    [
+        ((47, 53), (9.0, 7.0, 11, 9)),  # odd frame, odd template
+        ((47, 53), (30.5, 20.25, 8, 6)),  # interpolated template, even size
+        ((16, 21), (0.0, 0.0, 21, 16)),  # template the size of the frame
+        ((31, 40), (0.0, 23.0, 7, 8)),  # template cut at a frame corner
+    ],
+)
+def test_whole_frame_scores_match_brute_force(measure, shape, cut, spectral_calls):
+    img = _rng_image(21, shape=shape)
+    img[:12, :] = 300.0  # zero-energy patches along the top border
+    tpl = cut_template(img, *cut)
+    got = response_map(img, tpl, measure)
+    assert spectral_calls, "whole-frame search did not take the frequency-domain kernel"
+    want = _brute_force_response(img, tpl, measure)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-9
+    if measure == CCOEFF_NORMED and shape != (16, 21):
+        assert np.all(got[: 12 - tpl.height + 1] == 0.0)  # flat patches score exactly 0
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_whole_frame_self_match_is_exact(measure, spectral_calls):
+    img = _rng_image(22, shape=(47, 53))
+    for x, y in ((0, 0), (53 - 9, 47 - 11), (17, 30), (0, 20)):  # corners, interior, border
+        res = match_template(img, cut_template(img, x, y, 9, 11), measure)
+        assert res.position == (float(x), float(y))
+        assert res.score == 1.0
+    assert spectral_calls
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_region_search_keeps_the_spatial_kernel(measure, spectral_calls):
+    img = _rng_image(23, shape=(40, 48))
+    tpl = cut_template(img, 20, 15, 8, 6)
+    full = response_map(img, tpl, measure)
+    spectral_calls.clear()
+    region = response_map(img, tpl, measure, SearchRegion(center=(20.0, 15.0), radius=5))
+    assert not spectral_calls
+    np.testing.assert_allclose(region, full[10:21, 15:26], rtol=0, atol=1e-12)
+
+
+def test_template_spectrum_is_kept_per_frame_shape_and_measure():
+    tpl = cut_template(_rng_image(24), 9, 7, 8, 6)
+    for shape in ((40, 48), (33, 35)):
+        for measure in MEASURES:
+            img = _rng_image(25, shape=shape)
+            first = response_map(img, tpl, measure)
+            assert (shape, measure) in tpl._spectra
+            again = response_map(img, tpl, measure)  # from the kept spectrum
+            assert np.array_equal(first, again)
+            fresh = cut_template(_rng_image(24), 9, 7, 8, 6)
+            assert np.array_equal(response_map(img, fresh, measure), first)
+    assert len(tpl._spectra) == 4
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_whole_frame_search_rejects_degenerate_templates(measure):
+    img = _rng_image(26, shape=(30, 30))
+    tpl = Template(pixels=np.full((7, 7), 42.0 if measure == CCOEFF_NORMED else 0.0))
+    with pytest.raises(DegenerateTemplateError):
+        response_map(img, tpl, measure)
+    with pytest.raises(DegenerateTemplateError):
+        match_template(img, tpl, measure)
 
 
 def test_self_match_is_unity():
@@ -201,6 +288,49 @@ def test_score_cap_skips_refinement_on_exact_match():
     res = match_template(img, tpl, CCOEFF_NORMED)
     assert res.position == (11.0, 6.0)  # exactly on lattice, no parabola shift
     assert res.score == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), cap=st.sampled_from([None, 1.0]))
+def test_vectorized_picker_equals_scalar_picker_per_box(seed, cap):
+    """pick_peaks gives, bit for bit, find_peak_subpixel of every box's cut."""
+    rng = np.random.default_rng(seed)
+    n, rows, cols = 9, int(rng.integers(1, 12)), int(rng.integers(1, 12))
+    # a coarse value lattice makes ties and flat parabolas common
+    response = rng.integers(0, 8, size=(n, rows, cols)) / 8.0
+    response[rng.random(response.shape) < 0.05] = 1.0 - 1e-12  # within the cap's slack
+    x = np.sort(rng.integers(0, cols, size=(n, 2)), axis=1)
+    y = np.sort(rng.integers(0, rows, size=(n, 2)), axis=1)
+    x[0], y[0] = (0, cols - 1), (0, rows - 1)  # one box is the whole response
+    boxes = np.stack([x[:, 0], x[:, 1], y[:, 0], y[:, 1]], axis=1)
+    positions, scores = pick_peaks(response, boxes, score_cap=cap)
+    for r, (x0, x1, y0, y1) in enumerate(boxes):
+        want = find_peak_subpixel(response[r, y0 : y1 + 1, x0 : x1 + 1], score_cap=cap)
+        assert (positions[r, 0], positions[r, 1]) == want.position
+        assert scores[r] == want.score
+
+
+def test_cap_hit_reports_the_cap_and_keeps_the_lattice_point():
+    resp = _resp_with_peak(0.6, 1.0 - 1e-12, 0.8)
+    res = find_peak_subpixel(resp, score_cap=1.0)
+    assert res.position == (1.0, 1.0) and res.score == 1.0
+    positions, scores = pick_peaks(resp[None], np.array([[0, 2, 0, 2]]), score_cap=1.0)
+    assert positions.tolist() == [[1.0, 1.0]] and scores.tolist() == [1.0]
+    below = find_peak_subpixel(_resp_with_peak(0.6, 1.0 - 1e-6, 0.8), score_cap=1.0)
+    assert below.position[0] != 1.0 and below.score == 1.0 - 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    radius=st.integers(1, 15),
+)
+def test_placement_boxes_agree_with_placement_bounds(seed, radius):
+    centers = np.random.default_rng(seed).uniform(-20.0, 70.0, size=(6, 2))
+    boxes = placement_boxes((40, 48), (7, 9), centers, radius)
+    want = [placement_bounds((40, 48), (7, 9), SearchRegion(tuple(c), radius)) for c in centers]
+    assert boxes.tolist() == [list(b) for b in want]
+    assert placement_boxes((40, 48), (7, 9)).tolist() == [list(placement_bounds((40, 48), (7, 9)))]
 
 
 # --- match_template ---------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from resp4d import tracker
 from resp4d.errors import TrackingError, ValidationError
 from resp4d.imgcore import NAVIGATOR, Frame, ReferenceSequence
 from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, match_template
@@ -158,6 +159,24 @@ def test_unknown_mode_and_measure_are_rejected():
         track_reference(ref, _ROI, measure="ssd")
     with pytest.raises(ValidationError, match="no ROIs"):
         track_reference(ref, [], mode=FIXED)
+
+
+def test_fixed_tracking_is_one_whole_frame_call_per_frame_and_vessel(monkeypatch):
+    # every fixed-mode search goes through tracker.match_template, which the
+    # benchmark's tracer hooks to count kernel work
+    calls = []
+
+    def counted(image, template, measure, region=None, min_score=0.5):
+        calls.append(region)
+        return match_template(image, template, measure, region=region, min_score=min_score)
+
+    monkeypatch.setattr(tracker, "match_template", counted)
+    ref = _sequence([(24.0, 24.0 + math.sin(i)) for i in range(9)])
+    rois = [_ROI[0], Roi(label="v1", x=20, y=19, width=9, height=9)]
+    trace, sets = track_reference(ref, rois, mode=FIXED)
+    assert len(calls) == (9 - 1) * 2
+    assert all(region is None for region in calls)
+    assert len(sets) == 1 and trace.positions.shape == (9, 2, 2)
 
 
 def test_locate_in_same_frame_is_exact():
