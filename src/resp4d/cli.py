@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 from . import phantom as phantom_mod
+from .criterion import AGGREGATIONS
 from .errors import DatasetIOError, ProcessingError, ValidationError
 from .evalharness import compare_timing, sweep, write_rates_csv, write_timing_csv
 from .imgcore import load_dataset, write_dataset
@@ -22,8 +23,9 @@ from .reconstructor import (
     ReconstructionConfig,
     reconstruct,
     save_reconstruction,
+    track_configured,
 )
-from .tracker import rois_from_obj, rois_to_obj, track_reference, write_trace_csv
+from .tracker import rois_from_obj, rois_to_obj, write_trace_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -39,12 +41,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_DEFAULTS = ReconstructionConfig()
+
+
 def _add_matching_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--reference", type=int, choices=(1, 2), default=1)
-    p.add_argument("--method", choices=METHODS, default="updating")
-    p.add_argument("--measure", choices=sorted(_MEASURES), default="ccoeff")
-    p.add_argument("--search-radius", type=int, default=10)
-    p.add_argument("--min-score", type=float, default=0.5)
+    p.add_argument("--reference", type=int, choices=(1, 2), default=_DEFAULTS.reference)
+    p.add_argument("--method", choices=METHODS, default=_DEFAULTS.method)
+    measure = next(name for name, m in _MEASURES.items() if m == _DEFAULTS.measure)
+    p.add_argument("--measure", choices=sorted(_MEASURES), default=measure)
+    p.add_argument("--search-radius", type=int, default=_DEFAULTS.search_radius)
+    p.add_argument("--min-score", type=float, default=_DEFAULTS.min_score)
 
 
 def build_parser() -> _Parser:
@@ -70,8 +76,8 @@ def build_parser() -> _Parser:
     p.add_argument("--rois", required=True)
     p.add_argument("--out", required=True, help="output directory")
     _add_matching_flags(p)
-    p.add_argument("--threshold", type=float, default=1.0)
-    p.add_argument("--aggregation", choices=("sum", "mean"), default="sum")
+    p.add_argument("--threshold", type=float, default=_DEFAULTS.threshold_px)
+    p.add_argument("--aggregation", choices=AGGREGATIONS, default=_DEFAULTS.aggregation)
 
     p = sub.add_parser("sweep", help="reconstruction-rate grid over thresholds/measures/references/methods")
     p.add_argument("--dataset", required=True)
@@ -99,6 +105,7 @@ def _cmd_phantom(args) -> int:
     out = Path(args.out)
     write_dataset(dataset, out)
     phantom_mod.write_ground_truth_csv(truth, out / "ground_truth.csv")
+    phantom_mod.save_spec(spec, out / "phantom_spec.json")
     rois = phantom_mod.suggested_rois(spec, truth)
     (out / "rois.json").write_text(
         json.dumps(rois_to_obj(rois), indent=2, sort_keys=True) + "\n"
@@ -120,34 +127,26 @@ def _config_from_args(args) -> ReconstructionConfig:
         reference=args.reference,
         method=args.method,
         measure=_MEASURES[args.measure],
-        threshold_px=getattr(args, "threshold", 1.0),
+        threshold_px=getattr(args, "threshold", _DEFAULTS.threshold_px),
         search_radius=args.search_radius,
         min_score=args.min_score,
-        aggregation=getattr(args, "aggregation", "sum"),
+        aggregation=getattr(args, "aggregation", _DEFAULTS.aggregation),
     )
 
 
 def _cmd_track(args) -> int:
+    config = _config_from_args(args)
     dataset = load_dataset(args.dataset)
-    rois = _load_rois(args.rois)
-    mode = "updating" if args.method == "updating" else "fixed"
-    trace, _ = track_reference(
-        dataset.reference(args.reference),
-        rois,
-        measure=_MEASURES[args.measure],
-        search_radius=args.search_radius,
-        mode=mode,
-        min_score=args.min_score,
-    )
+    trace, _ = track_configured(dataset, _load_rois(args.rois), config)
     write_trace_csv(trace, args.out)
     print(f"wrote {trace.n_frames} frames x {len(trace.labels)} vessels to {args.out}")
     return EXIT_OK
 
 
 def _cmd_reconstruct(args) -> int:
+    config = _config_from_args(args)
     dataset = load_dataset(args.dataset)
-    rois = _load_rois(args.rois)
-    volume, report = reconstruct(dataset, rois, _config_from_args(args))
+    volume, report = reconstruct(dataset, _load_rois(args.rois), config)
     save_reconstruction(volume, report, args.out)
     print(
         f"rate {report.reconstruction_rate:.2f}% "
@@ -177,9 +176,12 @@ def _cmd_sweep(args) -> int:
     if args.timing:
         comparison = compare_timing(dataset, rois, base)
         write_timing_csv(comparison, out / "timing.csv")
+        navigators = sum(len(seq.navigators()) for seq in dataset.interleaved)
         print(
             f"timing: full {comparison.full_seconds:.2f}s vs region "
-            f"{comparison.region_seconds:.2f}s -> speedup {comparison.speedup:.2f}x"
+            f"{comparison.region_seconds:.2f}s -> speedup {comparison.speedup:.2f}x; "
+            f"{navigators} navigators, widened region {comparison.widened_region}, "
+            f"full-frame {comparison.widened_full}"
         )
     return EXIT_OK
 
@@ -197,7 +199,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, DatasetIOError) as exc:
+    except (ValidationError, DatasetIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ProcessingError as exc:

@@ -89,13 +89,6 @@ class ReferenceSequence:
         if len(positions) > 1:
             raise ValidationError(f"reference sequence: mixed slice positions {sorted(positions)}")
 
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def slice_position_mm(self) -> float:
-        return self.frames[0].slice_position_mm
-
 
 @dataclass
 class InterleavedSequence:
@@ -131,18 +124,8 @@ class InterleavedSequence:
                     f"expected {self.data_slice_position_mm} mm"
                 )
 
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def navigator_slice_position_mm(self) -> float:
-        return self.frames[0].slice_position_mm
-
     def navigators(self) -> list[Frame]:
         return self.frames[0::2]
-
-    def data_frames(self) -> list[Frame]:
-        return self.frames[1::2]
 
 
 @dataclass
@@ -185,10 +168,6 @@ class Dataset:
         if choice == 2:
             return self.reference_2
         raise ValueError(f"reference choice must be 1 or 2, got {choice!r}")
-
-    @property
-    def slice_positions_sorted(self) -> list[float]:
-        return sorted(s.data_slice_position_mm for s in self.interleaved)
 
 
 def quantize_u16(values: np.ndarray) -> np.ndarray:

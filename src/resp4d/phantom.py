@@ -22,12 +22,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DatasetIOError, ValidationError
 from .imgcore import (
     DATA,
     NAVIGATOR,
@@ -394,113 +395,66 @@ def write_ground_truth_csv(truth: GroundTruth, path: Path | str) -> None:
 
 
 # --- phantom.json -----------------------------------------------------------
+# The JSON form is read off the dataclasses: a dataclass is an object with one
+# key per field, a tuple is a list, and an omitted key keeps the default.
 
 
-def spec_to_obj(spec: PhantomSpec) -> dict:
-    return {
-        "frame_height": spec.frame_height,
-        "frame_width": spec.frame_width,
-        "background": spec.background,
-        "noise_std": spec.noise_std,
-        "reference_frames": spec.reference_frames,
-        "sequences": spec.sequences,
-        "data_frames_per_sequence": spec.data_frames_per_sequence,
-        "frame_period_ms": spec.frame_period_ms,
-        "sequence_phase_jitter_ms": spec.sequence_phase_jitter_ms,
-        "sequence_amp_jitter": spec.sequence_amp_jitter,
-        "sequence_offsets_px": [list(pair) for pair in spec.sequence_offsets_px],
-        "navigator_slice_mm": spec.navigator_slice_mm,
-        "first_data_slice_mm": spec.first_data_slice_mm,
-        "slice_gap_mm": spec.slice_gap_mm,
-        "in_plane_spacing_mm": list(spec.in_plane_spacing_mm),
-        "signal": {
-            "amplitude_px": spec.signal.amplitude_px,
-            "components": [[c.period_ms, c.weight] for c in spec.signal.components],
-            "drift_px_per_min": spec.signal.drift_px_per_min,
-            "seed": spec.signal.seed,
-        },
-        "vessels": [
-            {
-                "x": v.x,
-                "y": v.y,
-                "radius_px": v.radius_px,
-                "peak_intensity": v.peak_intensity,
-                "modulation_depth": v.modulation_depth,
-                "split_rest_px": v.split_rest_px,
-                "split_gain_px": v.split_gain_px,
-                "satellite_offsets": [list(off) for off in v.satellite_offsets],
-                "satellite_amplitude": v.satellite_amplitude,
-            }
-            for v in spec.vessels
-        ],
-    }
+def spec_to_obj(value):
+    """JSON-shaped form of a spec, or of any dataclass or tuple inside one."""
+    if is_dataclass(value):
+        return {f.name: spec_to_obj(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [spec_to_obj(item) for item in value]
+    return value
 
 
-def _spacing_pair(value) -> tuple[float, float]:
-    if isinstance(value, (int, float)):
-        return (float(value), float(value))
-    row, col = value
-    return (float(row), float(col))
+def _from_obj(kind, obj, path: str):
+    """Build a ``kind`` from JSON ``obj``; ``path`` names ``obj`` in errors."""
+    if is_dataclass(kind):
+        if not isinstance(obj, dict):
+            where = f"key {path!r}" if path else "the spec"
+            raise ValidationError(f"{where} must be an object, got {obj!r}")
+        prefix = f"{path}." if path else ""
+        unknown = sorted(set(obj) - {f.name for f in fields(kind)})
+        if unknown:
+            raise ValidationError(f"unknown key {prefix + unknown[0]!r}")
+        hints = get_type_hints(kind)
+        values = {}
+        for f in fields(kind):
+            if f.name in obj:
+                values[f.name] = _from_obj(hints[f.name], obj[f.name], prefix + f.name)
+            elif f.default is MISSING:
+                raise ValidationError(f"missing key {prefix + f.name!r}")
+        return kind(**values)
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        variadic = args[-1] is Ellipsis
+        if not isinstance(obj, list) or not (variadic or len(obj) == len(args)):
+            size = "" if variadic else f" of {len(args)}"
+            raise ValidationError(f"key {path!r} must be a list{size}, got {obj!r}")
+        items = args[:1] * len(obj) if variadic else args
+        return tuple(_from_obj(a, item, f"{path}[{i}]") for i, (a, item) in enumerate(zip(items, obj)))
+    if kind is int and isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    if kind is float and isinstance(obj, (int, float)) and not isinstance(obj, bool) and math.isfinite(obj):
+        return float(obj)
+    expected = {int: "an integer", float: "a finite number"}[kind]
+    raise ValidationError(f"key {path!r} must be {expected}, got {obj!r}")
 
 
-def spec_from_obj(obj: dict) -> PhantomSpec:
-    defaults = PhantomSpec()
-    signal = defaults.signal
-    if "signal" in obj:
-        so = obj["signal"]
-        signal = BreathingSignal(
-            amplitude_px=so.get("amplitude_px", signal.amplitude_px),
-            components=tuple(SignalComponent(p, w) for p, w in so.get("components", [[3800.0, 1.0]])),
-            drift_px_per_min=so.get("drift_px_per_min", signal.drift_px_per_min),
-            seed=so.get("seed", signal.seed),
-        )
-    vessels = defaults.vessels
-    if "vessels" in obj:
-        vessels = tuple(
-            VesselSpec(
-                x=v["x"],
-                y=v["y"],
-                radius_px=v.get("radius_px", 2.5),
-                peak_intensity=v.get("peak_intensity", 1200.0),
-                modulation_depth=v.get("modulation_depth", 0.0),
-                split_rest_px=v.get("split_rest_px", 0.0),
-                split_gain_px=v.get("split_gain_px", 0.0),
-                satellite_offsets=tuple(tuple(off) for off in v.get("satellite_offsets", [])),
-                satellite_amplitude=v.get("satellite_amplitude", _SATELLITE_AMP),
-            )
-            for v in obj["vessels"]
-        )
-    simple = {
-        name: obj.get(name, getattr(defaults, name))
-        for name in (
-            "frame_height",
-            "frame_width",
-            "background",
-            "noise_std",
-            "reference_frames",
-            "sequences",
-            "data_frames_per_sequence",
-            "frame_period_ms",
-            "sequence_phase_jitter_ms",
-            "sequence_amp_jitter",
-            "navigator_slice_mm",
-            "first_data_slice_mm",
-            "slice_gap_mm",
-        )
-    }
-    return PhantomSpec(
-        vessels=vessels,
-        signal=signal,
-        sequence_offsets_px=tuple(
-            (int(s), float(o)) for s, o in obj.get("sequence_offsets_px", [])
-        ),
-        in_plane_spacing_mm=_spacing_pair(obj.get("in_plane_spacing_mm", defaults.in_plane_spacing_mm)),
-        **simple,
-    )
+def spec_from_obj(obj) -> PhantomSpec:
+    return _from_obj(PhantomSpec, obj, "")
 
 
 def load_spec(path: Path | str) -> PhantomSpec:
-    return spec_from_obj(json.loads(Path(path).read_text()))
+    try:
+        return spec_from_obj(json.loads(Path(path).read_text()))
+    except FileNotFoundError as exc:
+        raise DatasetIOError(f"missing file: {path}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or bytes that are not text
+        raise ValidationError(f"unparseable JSON in {path}: {exc}") from exc
 
 
 def save_spec(spec: PhantomSpec, path: Path | str) -> None:

@@ -33,6 +33,8 @@ from .tracker import (
     FIXED,
     UPDATING,
     RoiSpec,
+    TemplateSet,
+    TrackTrace,
     locate_in_navigator,
     track_reference,
 )
@@ -101,6 +103,20 @@ def average_bin(frames) -> np.ndarray:
     return np.mean(np.stack(arrays), axis=0)
 
 
+def track_configured(
+    dataset: Dataset, rois: RoiSpec, config: ReconstructionConfig
+) -> tuple[TrackTrace, list[TemplateSet]]:
+    """Track ``config``'s reference sequence the way ``config.method`` does.
+
+    The updating method tracks with template updating inside the search
+    radius; the baseline matches its frame-0 templates over the full frame.
+    """
+    mode = UPDATING if config.method == UPDATING_METHOD else FIXED
+    radius = None if config.method == BASELINE_METHOD else config.search_radius
+    ref = dataset.reference(config.reference)
+    return track_reference(ref, rois, config.measure, radius, mode, config.min_score)
+
+
 def displacement_tables(
     dataset: Dataset, rois: RoiSpec, config: ReconstructionConfig
 ) -> tuple[list[np.ndarray], int]:
@@ -112,13 +128,9 @@ def displacement_tables(
     aggregation play no part here, so one set of tables serves every
     threshold.
     """
-    ref = dataset.reference(config.reference)
-    if len(ref.frames) < 3:
+    if len(dataset.reference(config.reference).frames) < 3:
         raise ValidationError("reference sequence too short: no eligible timepoints")
-
-    mode = UPDATING if config.method == UPDATING_METHOD else FIXED
-    radius = None if config.method == BASELINE_METHOD else config.search_radius
-    trace, sets = track_reference(ref, rois, config.measure, radius, mode, config.min_score)
+    trace, sets = track_configured(dataset, rois, config)
 
     # updating tracking yields one template set per reference frame, fixed
     # tracking only the frame-0 set; each set is one chain of priors through

@@ -197,6 +197,9 @@ def track_reference(
             scores[i, v] = res.score
             widened[i, v] = res.widened
             if mode == UPDATING:
+                # each updating template searches one reference frame; the
+                # navigators batch it with the other sets, which reads no spectrum
+                tpl._spectra.clear()
                 fresh = cut_template(frame.pixels, res.position[0], res.position[1], tpl.width, tpl.height)
                 if template_degenerate(fresh, measure):
                     raise TrackingError(

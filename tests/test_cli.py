@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 
 import pytest
@@ -40,6 +41,45 @@ def test_phantom_writes_dataset_truth_and_rois(workdir):
     assert (dataset_dir / "il000" / "seq.json").is_file()
 
 
+def test_phantom_spec_json_regenerates_the_same_dataset(workdir, tmp_path):
+    _, dataset_dir = workdir
+    again = tmp_path / "again"
+    spec_path = dataset_dir / "phantom_spec.json"
+    assert main(["phantom", "--out", str(again), "--spec", str(spec_path), "--seed", "3"]) == 0
+    names = sorted(str(p.relative_to(dataset_dir)) for p in dataset_dir.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(again)) for p in again.rglob("*") if p.is_file())
+    for name in names:
+        assert (dataset_dir / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def _spec_file(text):
+    return lambda root: (root / "spec.json").write_text(text)
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (_spec_file('{"vessels": [{"y": 20.0}]}'), "missing key 'vessels[0].x'"),
+        (_spec_file('{"vessels": "x"}'), "key 'vessels' must be a list"),
+        (_spec_file('{"frame_hieght": 48}'), "unknown key 'frame_hieght'"),
+        (_spec_file('{"signal": {"components": [[3800, 1]]}}'), "key 'signal.components[0]' must be an object"),
+        (_spec_file("{not json"), "unparseable JSON in"),
+        (lambda root: None, "missing file:"),
+        (lambda root: (root / "spec.json").mkdir(), "Is a directory"),
+    ],
+    ids=["vessel-no-x", "vessels-string", "typo-key", "component-pair", "not-json", "missing-file", "directory"],
+)
+def test_malformed_phantom_spec_fails_validation(tmp_path, capsys, write, message):
+    write(tmp_path)
+    out = tmp_path / "out"
+    code = main(["phantom", "--out", str(out), "--spec", str(tmp_path / "spec.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err and str(tmp_path / "spec.json") in err
+    assert not out.exists()
+
+
 def test_validate_reports_sequence_and_frame_counts(workdir, capsys):
     _, dataset_dir = workdir
     assert main(["validate", "--dataset", str(dataset_dir)]) == 0
@@ -65,6 +105,33 @@ def test_track_writes_a_trace_csv(workdir, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
     assert rows[0]["vessel"] == "v0"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--search-radius", "0"], "search radius must be >= 1"),
+        (["--search-radius", "-3"], "search radius must be >= 1"),
+        (["--min-score", "nan"], "min score must be finite"),
+    ],
+    ids=["radius-zero", "radius-negative", "min-score-nan"],
+)
+def test_track_rejects_invalid_parameters(workdir, capsys, flags, message):
+    root, dataset_dir = workdir
+    out_csv = root / "trace_bad.csv"
+    code = main(
+        [
+            "track",
+            "--dataset", str(dataset_dir),
+            "--rois", str(dataset_dir / "rois.json"),
+            "--out", str(out_csv),
+        ]
+        + flags
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not out_csv.exists()
 
 
 def test_reconstruct_twice_is_bit_identical(workdir, capsys):
@@ -288,7 +355,7 @@ def test_sweep_rejects_a_nan_threshold(workdir, capsys):
     assert not (root / "sweep_nan").exists()
 
 
-def test_sweep_timing_flag_writes_timing_csv(workdir):
+def test_sweep_timing_flag_writes_timing_csv(workdir, capsys):
     root, dataset_dir = workdir
     out_dir = root / "sweep_timing"
     code = main(
@@ -305,3 +372,5 @@ def test_sweep_timing_flag_writes_timing_csv(workdir):
     with open(out_dir / "timing.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["variant"] for r in rows} == {"full_frame", "region"}
+    # one sequence of 5 data frames has 6 navigators
+    assert re.search(r"; 6 navigators, widened region \d+, full-frame \d+$", capsys.readouterr().out, re.M)

@@ -103,7 +103,7 @@ def test_dataset_rejects_uneven_slice_progression():
 def test_navigator_and_data_views():
     seq = _tiny_interleaved(n_data=3)
     assert [f.kind for f in seq.navigators()] == [NAVIGATOR] * 4
-    assert [f.kind for f in seq.data_frames()] == [DATA] * 3
+    assert [f.kind for f in seq.frames[1::2]] == [DATA] * 3
 
 
 # --- on-disk round trip -----------------------------------------------------

@@ -342,6 +342,35 @@ def test_spec_obj_defaults_apply_when_keys_are_missing():
     assert spec.vessels == PhantomSpec().vessels
 
 
+def test_spec_obj_mirrors_the_dataclasses():
+    obj = spec_to_obj(PhantomSpec())
+    assert obj["signal"]["components"] == [{"period_ms": 3800.0, "weight": 1.0}]
+    assert obj["in_plane_spacing_mm"] == [1.82, 1.82]
+    assert set(obj["vessels"][0]) == set(VesselSpec.__dataclass_fields__)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"frame_height": 48.0}, "key 'frame_height' must be an integer"),
+        ({"noise_std": True}, "key 'noise_std' must be a finite number"),
+        ({"background": float("nan")}, "key 'background' must be a finite number"),
+        ({"in_plane_spacing_mm": 1.5}, "key 'in_plane_spacing_mm' must be a list of 2"),
+        (
+            {"vessels": [{"x": 24.0, "y": 20.0, "satellite_offsets": [[1.0, 2.0, 3.0]]}]},
+            "key 'vessels[0].satellite_offsets[0]' must be a list of 2",
+        ),
+        ({"signal": {"seed": 1, "phase": 0.5}}, "unknown key 'signal.phase'"),
+        ([1], "the spec must be an object"),
+    ],
+    ids=["float-for-int", "bool", "nan", "scalar-spacing", "offset-triple", "unknown-nested", "not-object"],
+)
+def test_spec_obj_errors_name_the_key_path(obj, message):
+    with pytest.raises(ValidationError) as exc:
+        spec_from_obj(obj)
+    assert str(exc.value).startswith(message)
+
+
 def test_render_frame_needs_an_rng_for_noise():
     with pytest.raises(ValueError, match="RNG"):
         render_frame((8, 8), [], background=10.0, noise_std=2.0, rng=None)

@@ -10,7 +10,7 @@ from resp4d import tracker
 from resp4d.errors import TrackingError, ValidationError
 from resp4d.imgcore import NAVIGATOR, Frame, ReferenceSequence
 from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, match_template
-from resp4d.phantom import generate_phantom, render_frame, suggested_rois
+from resp4d.phantom import PhantomSpec, generate_phantom, render_frame, suggested_rois
 from resp4d.tracker import (
     FIXED,
     UPDATING,
@@ -123,6 +123,16 @@ def test_fixed_returns_only_the_initial_set():
     _, sets = track_reference(ref, _ROI, mode=FIXED)
     assert len(sets) == 1
     assert sets[0].frame_index == 0
+
+
+def test_only_fixed_templates_keep_their_whole_frame_spectrum():
+    spec = PhantomSpec()
+    dataset, truth = generate_phantom(spec, seed=0)
+    rois = suggested_rois(spec, truth)
+    _, updating = track_reference(dataset.reference_1, rois, search_radius=None, mode=UPDATING)
+    assert sum(a.nbytes for s in updating for t in s.templates for a in t._spectra.values()) == 0
+    _, fixed = track_reference(dataset.reference_1, rois, mode=FIXED)
+    assert [len(t._spectra) for t in fixed[0].templates] == [1] * len(rois)
 
 
 def test_degenerate_initial_roi_is_rejected():
