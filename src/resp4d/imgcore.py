@@ -313,6 +313,10 @@ def load_dataset(root: Path | str) -> Dataset:
     if len(ref_names) != 2:
         raise ValidationError(f"dataset.json must name exactly 2 references, got {ref_names}")
     period = meta["frame_period_ms"]
+    # every name is joined to the root, so it must stay a plain entry of it
+    for name in meta["sequences"]:
+        if name in ("", ".", "..") or Path(name).name != name or meta["sequences"].count(name) > 1:
+            raise DatasetIOError(f"{root / 'dataset.json'}: sequence {name!r} is not a plain, unique directory name")
 
     references: dict[str, ReferenceSequence] = {}
     interleaved: list[InterleavedSequence] = []

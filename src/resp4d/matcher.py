@@ -118,11 +118,13 @@ class MatchResult:
     widened: bool = False
 
 
-def _as_image(image) -> np.ndarray:
+def _as_image(image, stack: bool = False, dtype=np.float64) -> np.ndarray:
+    """``image``'s pixels as ``dtype`` (``None`` keeps theirs): a 2D frame, or with ``stack`` also ``(S, H, W)``."""
     pixels = getattr(image, "pixels", image)
-    arr = np.asarray(pixels, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"image must be a non-empty 2D array, got shape {arr.shape}")
+    arr = np.asarray(pixels, dtype=dtype)
+    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.size == 0:
+        kind = "2D array or (S, H, W) stack" if stack else "2D array"
+        raise ValueError(f"image must be a non-empty {kind}, got shape {arr.shape}")
     return arr
 
 
@@ -203,16 +205,16 @@ def placement_boxes(
 
 
 def _window_sums(crop: np.ndarray, th: int, tw: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-placement patch sum and sum of squares via integral images."""
-    h, w = crop.shape
-    ii1 = np.zeros((h + 1, w + 1))
-    ii2 = np.zeros((h + 1, w + 1))
-    ii1[1:, 1:] = crop.cumsum(axis=0).cumsum(axis=1)
-    ii2[1:, 1:] = (crop * crop).cumsum(axis=0).cumsum(axis=1)
+    """Per-placement patch sum and sum of squares via integral images, over any leading axes."""
+    h, w = crop.shape[-2:]
+    ii1 = np.zeros(crop.shape[:-2] + (h + 1, w + 1))
+    ii2 = np.zeros(crop.shape[:-2] + (h + 1, w + 1))
+    ii1[..., 1:, 1:] = crop.cumsum(axis=-2).cumsum(axis=-1)
+    ii2[..., 1:, 1:] = (crop * crop).cumsum(axis=-2).cumsum(axis=-1)
     oh, ow = h - th + 1, w - tw + 1
 
     def window(ii):
-        return ii[th:, tw:] - ii[:oh, tw:] - ii[th:, :ow] + ii[:oh, :ow]
+        return ii[..., th:, tw:] - ii[..., :oh, tw:] - ii[..., th:, :ow] + ii[..., :oh, :ow]
 
     return window(ii1), window(ii2)
 
@@ -236,11 +238,13 @@ def match_scores(image, templates: list[Template], measure: str,
 
     Entry ``[r, j, i]`` scores ``templates[r]`` at placement ``(x0 + i, y0 + j)``
     for inclusive ``bounds`` ``(x0, x1, y0, y1)``.  The patch statistics are
-    computed once for all R templates.
+    computed once for all R templates.  For one template ``image`` may also
+    be a stack ``(S, H, W)``, scored over the same box in every image, giving
+    ``(S, 1, oh, ow)``.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-    img = _as_image(image)
+    img = _as_image(image, stack=len(templates) == 1)
     th, tw = templates[0].pixels.shape
     for tpl in templates:
         if tpl.pixels.shape != (th, tw):
@@ -252,7 +256,7 @@ def match_scores(image, templates: list[Template], measure: str,
                 else "all-zero template has no ccorr_normed response"
             )
     x0, x1, y0, y1 = bounds
-    crop = img[y0 : y1 + th, x0 : x1 + tw]
+    crop = img[..., y0 : y1 + th, x0 : x1 + tw]
     s1, s2 = _window_sums(crop, th, tw)
     if measure == CCOEFF_NORMED:
         kernels = [tpl._zero_mean for tpl in templates]
@@ -263,9 +267,9 @@ def match_scores(image, templates: list[Template], measure: str,
         kernels = [tpl.pixels for tpl in templates]
         energies = [tpl._energy_raw for tpl in templates]
 
-    oh, ow = s2.shape
+    oh, ow = s2.shape[-2:]
     if len(templates) == 1:
-        if crop.shape == img.shape:
+        if crop.shape == img.shape and img.ndim == 2:
             # the whole frame: valid placements never wrap, so the circular
             # correlation needs no padding beyond the frame
             spectrum = templates[0]._spectra.get((img.shape, measure))
@@ -274,8 +278,10 @@ def match_scores(image, templates: list[Template], measure: str,
                 templates[0]._spectra[(img.shape, measure)] = spectrum
             cross = np.fft.irfft2(np.fft.rfft2(img) * spectrum, s=img.shape)[:oh, :ow]
         else:
-            cross = np.einsum("ijkl,kl->ij", sliding_window_view(crop, (th, tw)), kernels[0])
-        return _normalize(cross, s1, s2, None if sums is None else sums[0], energies[0], th * tw)[None]
+            windows = sliding_window_view(crop, (th, tw), axis=(-2, -1))
+            cross = np.einsum("...ijkl,kl->...ij", windows, kernels[0])
+        scores = _normalize(cross, s1, s2, None if sums is None else sums[0], energies[0], th * tw)
+        return scores[..., None, :, :]
 
     # R > 1: an im2col copy of the windows times the stacked templates, in
     # bands of rows so the copy stays small
@@ -401,41 +407,57 @@ def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
     """
     img = _as_image(image)
     box = np.array([placement_bounds(img.shape, template.pixels.shape, region)])
-    positions, scores, widened = _search(img, [template], measure, box, region is not None, min_score)
+    positions, scores = _best_in_boxes(img, [template], box, measure)
+    widened = scores < min_score if region is not None else np.zeros(1, dtype=bool)
+    _widen(img, [template], measure, positions, scores, widened)
     x, y = positions[0].tolist()
     return MatchResult(position=(x, y), score=float(scores[0]), widened=bool(widened[0]))
 
 
-def match_templates(image, templates: list[Template], measure: str = CCOEFF_NORMED,
+def match_templates(images, templates: list[Template], measure: str = CCOEFF_NORMED,
                     centers: np.ndarray | None = None, radius: int | None = None,
                     min_score: float = 0.5):
-    """``match_template`` for R same-shape templates, each in its own region.
+    """``match_template`` for R same-shape templates in each of S same-shape images.
 
-    Template ``r`` is searched within ``radius`` of ``centers[r]`` (x, y);
-    without centres or radius every template searches the whole frame.  All
-    R templates are scored in one pass over the union of the regions; each
-    peak is then taken from its own region, so borders behave as if the
-    region had been searched alone.  Templates whose regional best scores
-    below ``min_score`` widen together to one full-frame pass.  Returns
-    positions ``(R, 2)``, scores ``(R,)`` and widened flags ``(R,)``.
+    Template ``r`` is searched in image ``s`` within ``radius`` of
+    ``centers[s, r]`` (x, y); without centres or radius every template
+    searches the whole frame.  One template's regions in all S images are
+    scored as one stack.  Otherwise each image is searched on its own: all R
+    templates are scored in one pass over the union of the image's regions.
+    Each peak is taken from its own region, so borders behave as if the
+    region had been searched alone, and chains whose regional best scores
+    below ``min_score`` widen to the full frame of their own image.  Returns
+    positions ``(S, R, 2)``, scores ``(S, R)`` and widened flags ``(S, R)``.
     """
-    img = _as_image(image)
-    if centers is not None and len(centers) != len(templates):
-        raise ValueError(f"{len(centers)} centres for {len(templates)} templates")
-    boxes = placement_boxes(img.shape, templates[0].pixels.shape, centers, radius)
-    return _search(img, templates, measure, boxes, centers is not None and radius is not None, min_score)
+    # each search converts its own frame or crops: all S in float64 at once raise the peak
+    imgs = [_as_image(image, dtype=None) for image in images]
+    shapes = imgs[0].shape, templates[0].pixels.shape
+    if centers is not None and np.shape(centers) != (len(imgs), len(templates), 2):
+        raise ValueError(f"centres must have shape {(len(imgs), len(templates), 2)}, got {np.shape(centers)}")
+    regional = centers is not None and radius is not None
+    if regional:
+        boxes = placement_boxes(*shapes, np.reshape(centers, (-1, 2)), radius).reshape(len(imgs), len(templates), 4)
+    else:
+        boxes = np.broadcast_to(placement_boxes(*shapes), (len(imgs), 1, 4))
+    if regional and len(templates) == 1:
+        positions, scores = _best_in_stack(imgs, templates[0], boxes[:, 0], measure)
+    else:
+        # one image at a time: the banded products round with the box's
+        # shape, and stacked unions or whole frames only raise peak memory
+        found = [_best_in_boxes(img, templates, img_boxes, measure) for img, img_boxes in zip(imgs, boxes)]
+        positions, scores = map(np.stack, zip(*found))
+    widened = scores < min_score if regional else np.zeros(scores.shape, dtype=bool)
+    for s in widened.any(axis=1).nonzero()[0]:
+        _widen(imgs[s], templates, measure, positions[s], scores[s], widened[s])
+    return positions, scores, widened
 
 
-def _search(img: np.ndarray, templates: list[Template], measure: str, boxes: np.ndarray,
-            regional: bool, min_score: float):
-    """Best placement of each template in its box, widening regional misses to the full frame."""
-    positions, scores = _best_in_boxes(img, templates, boxes, measure)
-    widened = scores < min_score if regional else np.zeros(len(templates), dtype=bool)
+def _widen(img: np.ndarray, templates: list[Template], measure: str, positions, scores, widened) -> None:
+    """Search the templates flagged in ``widened`` again over the full frame, in place."""
     redo = widened.nonzero()[0]
     if len(redo):
         full = np.array([placement_bounds(img.shape, templates[0].pixels.shape)])
         positions[redo], scores[redo] = _best_in_boxes(img, [templates[r] for r in redo], full, measure)
-    return positions, scores, widened
 
 
 def _best_in_boxes(img: np.ndarray, templates: list[Template], boxes: np.ndarray, measure: str):
@@ -452,3 +474,18 @@ def _best_in_boxes(img: np.ndarray, templates: list[Template], boxes: np.ndarray
     boxes = np.broadcast_to(boxes, (len(templates), 4))
     positions, scores = pick_peaks(response, boxes - (ux0, ux0, uy0, uy0), score_cap=_SCORE_CAP)
     return positions + boxes[:, [0, 2]], scores
+
+
+def _best_in_stack(imgs: list[np.ndarray], template: Template, boxes: np.ndarray, measure: str):
+    """Best placement of one template in box ``s`` of image ``s``, for all S boxes ``(S, 4)`` at once.
+
+    The boxes grow to the largest one inside the frame, and the S crops are
+    scored as one stack.  Returns positions ``(S, 1, 2)`` and scores ``(S, 1)``.
+    """
+    (th, tw), (ih, iw) = template.pixels.shape, imgs[0].shape
+    sx, sy = (boxes[:, [1, 3]] - boxes[:, [0, 2]]).max(axis=0).tolist()
+    corners = np.minimum(boxes[:, [0, 2]], (iw - tw - sx, ih - th - sy))
+    crops = np.stack([img[y : y + sy + th, x : x + sx + tw] for img, (x, y) in zip(imgs, corners.tolist())])
+    response = match_scores(crops, [template], measure, (0, sx, 0, sy))[:, 0]
+    positions, scores = pick_peaks(response, boxes - corners[:, [0, 0, 1, 1]], score_cap=_SCORE_CAP)
+    return (positions + boxes[:, [0, 2]])[:, None], scores[:, None]

@@ -172,6 +172,16 @@ def _sequence_jitter(spec: PhantomSpec, seed: int, s: int) -> tuple[float, float
 def _validate(spec: PhantomSpec, seed: int) -> None:
     if not spec.vessels:
         raise ValidationError("phantom needs at least one vessel")
+    components = spec.signal.components
+    for j, comp in enumerate(components):
+        if not comp.period_ms > 0:
+            raise ValidationError(f"signal.components[{j}].period_ms must be positive, got {comp.period_ms}")
+        if not comp.weight >= 0:
+            raise ValidationError(f"signal.components[{j}].weight must be non-negative, got {comp.weight}")
+    if not any(comp.weight > 0 for comp in components):
+        raise ValidationError("signal.components: the breathing signal needs a component of positive weight")
+    if not spec.noise_std >= 0:
+        raise ValidationError(f"noise_std must be non-negative, got {spec.noise_std}")
     if spec.reference_frames < 3:
         raise ValidationError("reference needs at least 3 frames for enclosing navigators")
     if spec.sequences < 1 or spec.data_frames_per_sequence < 1:
@@ -183,6 +193,8 @@ def _validate(spec: PhantomSpec, seed: int) -> None:
     offset_bound = max((abs(o) for _, o in spec.sequence_offsets_px), default=0.0)
     disp = amp_bound + drift_bound + offset_bound
     for i, vessel in enumerate(spec.vessels):
+        if not vessel.radius_px > 0:
+            raise ValidationError(f"vessels[{i}].radius_px must be positive, got {vessel.radius_px}")
         sigma_max = vessel.radius_px * (1.0 + _RADIUS_GAIN * vessel.modulation_depth)
         margin = 3.0 * sigma_max + 1.0 + 0.5 * vessel.split_at(1.0)
         centres = [(vessel.x, vessel.y)]

@@ -134,23 +134,23 @@ def displacement_tables(
 
     # updating tracking yields one template set per reference frame, fixed
     # tracking only the frame-0 set; each set is one chain of priors through
-    # every sequence, and one call localizes all chains in a navigator
+    # every sequence, and one call localizes all chains in navigator ordinal
+    # n of every sequence that still has one
     widened = int(trace.widened.sum())
-    tables = []
-    for seq in dataset.interleaved:
-        navs = seq.navigators()
-        located = np.zeros((len(sets), len(navs), len(rois), 2))
-        priors = None
-        for n, nav in enumerate(navs):
-            priors, _, wid = locate_in_navigator(
-                nav, sets, priors, config.measure, config.search_radius, config.min_score
-            )
-            located[:, n] = priors
-            widened += int(wid.sum())
-        # trace (r, v, 2) against navigators (sets, n, v, 2) -> (r, n, v)
-        d = trace.positions[:, None] - located
-        tables.append(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
-    return tables, widened
+    navs = [seq.navigators() for seq in dataset.interleaved]
+    located = [np.zeros((len(sets), len(nv), len(rois), 2)) for nv in navs]
+    for n in range(max(map(len, navs))):
+        live = [s for s, nv in enumerate(navs) if n < len(nv)]
+        priors = np.stack([located[s][:, n - 1] for s in live]) if n else None
+        found, _, wid = locate_in_navigator(
+            [navs[s][n] for s in live], sets, priors, config.measure, config.search_radius, config.min_score
+        )
+        for s, pos in zip(live, found):
+            located[s][:, n] = pos
+        widened += int(wid.sum())
+    # trace (r, v, 2) against navigators (sets, n, v, 2) -> (r, n, v)
+    diffs = (trace.positions[:, None] - pos for pos in located)
+    return [np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) for d in diffs], widened
 
 
 def decide_all(
@@ -250,13 +250,13 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
     }
     (out / "report.json").write_text(json.dumps(report_obj, indent=2, sort_keys=True) + "\n")
 
+    # one formatting pass per sequence, in csv.writer's layout and line ends
     with open(out / "matches.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["reference_timepoint", "sequence_index", "data_frame_index", "total", "accepted"])
+        fh.write("reference_timepoint,sequence_index,data_frame_index,total,accepted\r\n")
         for s, (totals, accepted) in enumerate(zip(report.totals, report.accepted)):
-            for i, (row_totals, row_accepted) in enumerate(zip(totals.tolist(), accepted.tolist()), start=1):
-                for k, (total, ok) in enumerate(zip(row_totals, row_accepted)):
-                    writer.writerow([i, s, 2 * k + 1, f"{total:.6f}", int(ok)])
+            rows, cols = np.indices(totals.shape)
+            columns = (rows.ravel() + 1, 2 * cols.ravel() + 1, totals.ravel(), accepted.ravel().astype(np.int8))
+            fh.write("".join(map(f"{{}},{s},{{}},{{:.6f}},{{}}\r\n".format, *(c.tolist() for c in columns))))
 
     with open(out / "acquisition_correlation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

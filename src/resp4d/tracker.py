@@ -15,6 +15,11 @@ Two modes:
     with the previous frame's templates; fresh templates are then cut at the
     refined floating-point position, so the template appearance follows the
     anatomy while subpixel updates keep the anchor from drifting.
+
+The interleaved sequences are localized in lockstep: ``locate_in_navigator``
+takes navigator ordinal ``n`` of all S sequences at once and returns, for R
+template sets of V vessels, positions ``(S, R, V, 2)``, scores ``(S, R, V)``
+and widened flags ``(S, R, V)``.
 """
 
 from __future__ import annotations
@@ -220,38 +225,38 @@ def track_reference(
 
 
 def locate_in_navigator(
-    nav: Frame,
+    navs: list[Frame],
     template_sets: list[TemplateSet],
     priors: np.ndarray | None = None,
     measure: str = CCOEFF_NORMED,
     search_radius: int | None = DEFAULT_SEARCH_RADIUS,
     min_score: float = DEFAULT_MIN_SCORE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Find every vessel of R template sets in one navigator frame.
+    """Find every vessel of R template sets in the same navigator ordinal of S sequences.
 
-    Each set ``r`` is one chain followed through a sequence; ``priors[r, v]``
-    (shape ``(R, V, 2)``, usually the chain's positions in the previous
-    navigator) centres the search region for vessel ``v``.  Without priors,
-    or with ``search_radius=None``, the whole frame is searched.  A chain
-    whose regional best scores below ``min_score`` widens once to the full
-    frame, exactly as ``match_template`` does.
-
-    Per vessel, ``match_templates`` scores all R templates in one pass over
-    the union of the chains' regions.  Returns positions ``(R, V, 2)``,
-    scores ``(R, V)`` and widened flags ``(R, V)``.
+    ``navs`` holds one navigator per sequence.  Each set ``r`` is one chain
+    followed through every sequence; ``priors[s, r, v]`` (shape
+    ``(S, R, V, 2)``, usually the chain's positions in sequence ``s``'s
+    previous navigator) centres the search region for vessel ``v``.  Without
+    priors, or with ``search_radius=None``, the whole frame is searched, one
+    sequence at a time.  A chain whose regional best scores below
+    ``min_score`` widens once to the full frame of its own sequence, exactly
+    as ``match_template`` does.  Per vessel, one ``match_templates`` call
+    serves all S x R chains.  Returns positions ``(S, R, V, 2)``, scores
+    ``(S, R, V)`` and widened flags ``(S, R, V)``.
     """
     sets = [s.templates for s in template_sets]
-    n_sets, n_vessels = len(sets), len(sets[0])
+    shape = (len(navs), len(sets), len(sets[0]))
     if priors is not None:
         priors = np.asarray(priors, dtype=np.float64)
-        if priors.shape != (n_sets, n_vessels, 2):
-            raise ValueError(f"priors of shape {priors.shape} for {n_sets} sets of {n_vessels} templates")
-    positions = np.zeros((n_sets, n_vessels, 2))
-    scores = np.zeros((n_sets, n_vessels))
-    widened = np.zeros((n_sets, n_vessels), dtype=bool)
-    for v in range(n_vessels):
-        positions[:, v], scores[:, v], widened[:, v] = match_templates(
-            nav.pixels, [s[v] for s in sets], measure,
-            None if priors is None else priors[:, v], search_radius, min_score,
+        if priors.shape != shape + (2,):
+            raise ValueError(f"priors of shape {priors.shape} for (navigators, sets, templates) {shape}")
+    positions = np.zeros(shape + (2,))
+    scores = np.zeros(shape)
+    widened = np.zeros(shape, dtype=bool)
+    for v in range(shape[2]):
+        positions[:, :, v], scores[:, :, v], widened[:, :, v] = match_templates(
+            navs, [s[v] for s in sets], measure,
+            None if priors is None else priors[:, :, v], search_radius, min_score,
         )
     return positions, scores, widened

@@ -80,6 +80,29 @@ def test_malformed_phantom_spec_fails_validation(tmp_path, capsys, write, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"signal": {"components": []}}, "signal.components: the breathing signal needs a component of positive weight"),
+        ({"signal": {"components": [{"period_ms": 0.0, "weight": 1.0}]}}, "signal.components[0].period_ms must be positive"),
+        ({"signal": {"components": [{"period_ms": 3800.0, "weight": 1.0}, {"period_ms": 6100.0, "weight": -0.5}]}},
+         "signal.components[1].weight must be non-negative"),
+        ({"signal": {"components": [{"period_ms": 3800.0, "weight": 0.0}]}}, "signal.components: the breathing signal"),
+        ({"noise_std": -1.0}, "noise_std must be non-negative"),
+        ({"vessels": [{"x": 24.0, "y": 20.0, "radius_px": 0.0}]}, "vessels[0].radius_px must be positive"),
+    ],
+    ids=["no-components", "zero-period", "negative-weight", "zero-weights", "negative-noise", "zero-radius"],
+)
+def test_unusable_phantom_spec_fails_validation(tmp_path, capsys, spec, message):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["phantom", "--out", str(out), "--spec", str(tmp_path / "spec.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_validate_reports_sequence_and_frame_counts(workdir, capsys):
     _, dataset_dir = workdir
     assert main(["validate", "--dataset", str(dataset_dir)]) == 0
@@ -275,6 +298,29 @@ def test_malformed_metadata_fails_validation(workdir, tmp_path, capsys, name, ed
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert str(broken / name) in err and message in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda root: str(root / "other" / "il000"), lambda root: "../other/il000", lambda root: "il000"],
+    ids=["absolute", "dot-dot", "duplicate"],
+)
+def test_sequence_names_must_stay_inside_the_dataset(workdir, tmp_path, capsys, entry):
+    # another session beside the dataset would otherwise be read without complaint
+    _, dataset_dir = workdir
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset_dir, broken)
+    shutil.copytree(dataset_dir, tmp_path / "other")
+    meta = json.loads((broken / "dataset.json").read_text())
+    name = entry(tmp_path)
+    meta["sequences"] = [name if s == "il000" else s for s in meta["sequences"]]
+    if name == "il000":
+        meta["sequences"].append(name)
+    (broken / "dataset.json").write_text(json.dumps(meta))
+    assert main(["validate", "--dataset", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(broken / "dataset.json") in err and repr(name) in err
 
 
 def test_metadata_must_be_an_object(workdir, tmp_path, capsys):

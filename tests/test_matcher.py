@@ -14,6 +14,7 @@ from resp4d.matcher import (
     find_peak_subpixel,
     match_scores,
     match_template,
+    match_templates,
     pick_peaks,
     placement_bounds,
     placement_boxes,
@@ -156,6 +157,31 @@ def test_whole_frame_search_rejects_degenerate_templates(measure):
         response_map(img, tpl, measure)
     with pytest.raises(DegenerateTemplateError):
         match_template(img, tpl, measure)
+
+
+def test_match_templates_rejects_centres_of_the_wrong_shape():
+    imgs = [_rng_image(27), _rng_image(28)]
+    tpls = [cut_template(imgs[0], x, 5, 8, 6) for x in (3, 20, 30)]
+    centres = np.full((2, 3, 2), 12.0)
+    match_templates(imgs, tpls, centers=centres, radius=4)
+    # (R, S, 2) instead of (S, R, 2) would reshape silently onto the wrong chains
+    for bad in (centres.transpose(1, 0, 2), centres[:, :2], centres.reshape(-1, 2)):
+        with pytest.raises(ValueError, match=r"centres must have shape \(2, 3, 2\)"):
+            match_templates(imgs, tpls, centers=bad, radius=4)
+
+
+def test_match_scores_takes_a_stack_for_one_template_only():
+    stack = np.stack([_rng_image(29), _rng_image(30)])
+    tpl = cut_template(stack[0], 4, 4, 8, 6)
+    bounds = (2, 9, 1, 7)
+    scores = match_scores(stack, [tpl], CCOEFF_NORMED, bounds)
+    assert scores.shape == (2, 1, 7, 8)
+    for s in range(2):
+        assert np.array_equal(scores[s], match_scores(stack[s], [tpl], CCOEFF_NORMED, bounds))
+    with pytest.raises(ValueError, match="non-empty 2D array"):
+        match_scores(stack, [tpl, tpl], CCOEFF_NORMED, bounds)
+    with pytest.raises(ValueError, match="non-empty 2D array"):
+        response_map(stack, tpl)
 
 
 def test_self_match_is_unity():

@@ -169,20 +169,43 @@ def split_session():
     return spec, dataset, truth, suggested_rois(spec, truth)
 
 
+def _ragged(replay):
+    """The replay phantom with its first sequence cut short: 8 navigators against 20."""
+    _, dataset, _, rois = replay
+    first, *rest = dataset.interleaved
+    return replace(dataset, interleaved=[replace(first, frames=first.frames[:15]), *rest]), rois
+
+
 @pytest.mark.parametrize("search_radius", [10, None])
 @pytest.mark.parametrize("measure", [CCOEFF_NORMED, CCORR_NORMED])
-@pytest.mark.parametrize("phantom", ["replay", "split"])
+@pytest.mark.parametrize("phantom", ["replay", "split", "ragged"])
 def test_batched_localization_matches_per_call_path(replay, split_session, monkeypatch, phantom, measure, search_radius):
-    _, dataset, _, rois = replay if phantom == "replay" else split_session
-    config = ReconstructionConfig(measure=measure, search_radius=search_radius)
+    if phantom == "ragged":
+        dataset, rois = _ragged(replay)
+    else:
+        _, dataset, _, rois = replay if phantom == "replay" else split_session
+    # updating localizes R > 1 chains per sequence; the baseline's one chain
+    # per sequence is scored as a stack of every sequence's region
+    for method in (UPDATING_METHOD, BASELINE_METHOD):
+        config = ReconstructionConfig(method=method, measure=measure, search_radius=search_radius)
+        _assert_matches_per_call_path(dataset, rois, config, monkeypatch)
+
+
+def _assert_matches_per_call_path(dataset, rois, config, monkeypatch):
+    measure, search_radius = config.measure, config.search_radius
     sets, want_tables, chains, want_widened = _per_call_tables(dataset, rois, config)
-    # every navigator, given the reference's own priors, scores and places every chain alike
-    for seq, (pos, score, wid) in zip(dataset.interleaved, chains):
-        for n, nav in enumerate(seq.navigators()):
-            got = locate_in_navigator(nav, sets, pos[:, n - 1] if n else None, measure, search_radius, config.min_score)
-            np.testing.assert_allclose(got[0], pos[:, n], rtol=0, atol=1e-9)
-            np.testing.assert_allclose(got[1], score[:, n], rtol=0, atol=1e-9)
-            assert np.array_equal(got[2], wid[:, n])
+    # navigator ordinal n of every sequence that has one, given the reference's
+    # own priors, scores and places every chain alike
+    navs = [seq.navigators() for seq in dataset.interleaved]
+    for n in range(max(map(len, navs))):
+        live = [s for s, nv in enumerate(navs) if n < len(nv)]
+        priors = np.stack([chains[s][0][:, n - 1] for s in live]) if n else None
+        got = locate_in_navigator([navs[s][n] for s in live], sets, priors, measure, search_radius, config.min_score)
+        for i, s in enumerate(live):
+            pos, score, wid = chains[s]
+            np.testing.assert_allclose(got[0][i], pos[:, n], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got[1][i], score[:, n], rtol=0, atol=1e-9)
+            assert np.array_equal(got[2][i], wid[:, n])
     tables, widened = displacement_tables(dataset, rois, config)
     assert widened == want_widened
     for got, want in zip(tables, want_tables, strict=True):
@@ -200,7 +223,10 @@ def test_batched_localization_matches_per_call_path(replay, split_session, monke
 
 
 def test_localization_is_one_call_per_navigator(replay, monkeypatch):
-    spec, dataset, _, rois = replay
+    # one call per navigator ordinal covers every sequence still running:
+    # the longest sequence's 20 navigators, not 20 + 8
+    spec = replay[0]
+    dataset, rois = _ragged(replay)
     calls = {"locate": 0, "match": 0}
 
     def counting(key, func):
@@ -213,8 +239,8 @@ def test_localization_is_one_call_per_navigator(replay, monkeypatch):
     monkeypatch.setattr(reconstructor, "locate_in_navigator", counting("locate", reconstructor.locate_in_navigator))
     monkeypatch.setattr(tracker, "match_template", counting("match", tracker.match_template))
     reconstruct(dataset, rois, ReconstructionConfig(method=UPDATING_METHOD))
-    assert calls["locate"] == sum(len(seq.navigators()) for seq in dataset.interleaved)
-    # reference tracking only: every navigator's R x V matches go through one batched call
+    assert calls["locate"] == max(len(seq.navigators()) for seq in dataset.interleaved) == 20
+    # reference tracking only: every navigator ordinal's S x R x V matches go through batched calls
     assert calls["match"] == (spec.reference_frames - 1) * len(rois)
 
 
@@ -339,3 +365,25 @@ def test_saved_directories_are_bit_identical(tmp_path, replay):
     assert files_a == files_b
     for name in files_a:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_matches_csv_is_what_csv_writer_writes(tmp_path, replay):
+    _, dataset, _, rois = replay
+    volume, report = reconstruct(dataset, rois, ReconstructionConfig())
+    # totals on the edges of %.6f rounding, exact zeros and both decisions
+    edges = [0.0000005, 2.5e-7, 1234.5678905, 0.0, 0.0, 0.0000015, 2.0000005, 1e-7, 0.1234565, 99999.9999995]
+    report.totals[0].flat[: len(edges)] = edges
+    report.totals[1].flat[-len(edges) :] = edges[::-1]
+    report.accepted[0].flat[:4] = [True, False, True, False]
+    assert {x for a in report.accepted for x in a.ravel().tolist()} == {True, False}
+    save_reconstruction(volume, report, tmp_path)
+
+    # the per-row csv.writer loop that wrote matches.csv before one-pass formatting
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["reference_timepoint", "sequence_index", "data_frame_index", "total", "accepted"])
+        for s, (totals, accepted) in enumerate(zip(report.totals, report.accepted)):
+            for i, (row_totals, row_accepted) in enumerate(zip(totals.tolist(), accepted.tolist()), start=1):
+                for k, (total, ok) in enumerate(zip(row_totals, row_accepted)):
+                    writer.writerow([i, s, 2 * k + 1, f"{total:.6f}", int(ok)])
+    assert (tmp_path / "matches.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -192,10 +192,10 @@ def test_fixed_tracking_is_one_whole_frame_call_per_frame_and_vessel(monkeypatch
 def test_locate_in_same_frame_is_exact():
     ref = _sequence([(24.0, 24.0)] * 2)
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    positions, scores, widened = locate_in_navigator(ref.frames[0], sets, priors=[[(18.0, 18.0)]])
-    assert positions.shape == (1, 1, 2) and scores.shape == widened.shape == (1, 1)
-    assert tuple(positions[0, 0]) == (18.0, 18.0)
-    assert scores[0, 0] == pytest.approx(1.0, abs=1e-9)
+    positions, scores, widened = locate_in_navigator([ref.frames[0]], sets, priors=[[[(18.0, 18.0)]]])
+    assert positions.shape == (1, 1, 1, 2) and scores.shape == widened.shape == (1, 1, 1)
+    assert tuple(positions[0, 0, 0]) == (18.0, 18.0)
+    assert scores[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
     assert not widened.any()
 
 
@@ -203,26 +203,28 @@ def test_locate_follows_a_shift_within_the_region():
     ref = _sequence([(24.0, 24.0)])
     shifted = _sequence([(24.0, 27.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    positions, _, widened = locate_in_navigator(shifted.frames[0], sets, priors=[[(18.0, 18.0)]], search_radius=5)
-    assert tuple(positions[0, 0]) == (18.0, 21.0)
+    positions, _, widened = locate_in_navigator([shifted.frames[0]], sets, priors=[[[(18.0, 18.0)]]], search_radius=5)
+    assert tuple(positions[0, 0, 0]) == (18.0, 21.0)
     assert not widened.any()
 
 
 def test_locate_widens_when_the_prior_is_wrong():
     ref = _sequence([(24.0, 24.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    positions, _, widened = locate_in_navigator(ref.frames[0], sets, priors=[[(2.0, 2.0)]], search_radius=3)
-    assert widened[0, 0]
-    assert tuple(positions[0, 0]) == (18.0, 18.0)
+    positions, _, widened = locate_in_navigator([ref.frames[0]], sets, priors=[[[(2.0, 2.0)]]], search_radius=3)
+    assert widened[0, 0, 0]
+    assert tuple(positions[0, 0, 0]) == (18.0, 18.0)
 
 
 def test_locate_rejects_mismatched_priors():
     ref = _sequence([(24.0, 24.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
     with pytest.raises(ValueError, match="priors"):
-        locate_in_navigator(ref.frames[0], sets, priors=[[(0.0, 0.0), (1.0, 1.0)]])
+        locate_in_navigator([ref.frames[0]], sets, priors=[[[(0.0, 0.0), (1.0, 1.0)]]])
     with pytest.raises(ValueError, match="priors"):
-        locate_in_navigator(ref.frames[0], sets * 2, priors=[[(0.0, 0.0)]])
+        locate_in_navigator([ref.frames[0]], sets * 2, priors=[[[(0.0, 0.0)]]])
+    with pytest.raises(ValueError, match="priors"):
+        locate_in_navigator([ref.frames[0]] * 2, sets, priors=[[[(0.0, 0.0)]]])
 
 
 @pytest.mark.parametrize("min_score, widened", [(-1.0, [False, False, False]), (0.5, [True, False, False])])
@@ -233,7 +235,7 @@ def test_locate_batches_chains_as_separate_calls_would(min_score, widened):
     _, sets = track_reference(_sequence([(24.0, 24.0 + i) for i in range(3)]), _ROI, mode=UPDATING)
     nav = _sequence([(24.0, 25.0)]).frames[0]
     priors = np.array([[(1.0, 1.5)], [(18.0, 19.0)], [(17.0, 18.0)]])
-    positions, scores, flags = locate_in_navigator(nav, sets, priors, search_radius=3, min_score=min_score)
+    positions, scores, flags = (out[0] for out in locate_in_navigator([nav], sets, priors[None], search_radius=3, min_score=min_score))
     assert math.ceil(priors[0, 0, 0] - 3) < 0
     assert flags[:, 0].tolist() == widened
     for r, tset in enumerate(sets):
@@ -244,6 +246,48 @@ def test_locate_batches_chains_as_separate_calls_would(min_score, widened):
         assert scores[r, 0] == pytest.approx(want.score, abs=1e-9)
     if not widened[0]:
         assert positions[0, 0, 0] <= 4.0 and positions[0, 0, 1] <= 4.5  # stayed inside its own clipped region
+
+
+@pytest.mark.parametrize("search_radius", [10, None])
+@pytest.mark.parametrize("measure", [CCOEFF_NORMED, CCORR_NORMED])
+@pytest.mark.parametrize("mode", [FIXED, UPDATING])
+def test_lockstep_locate_matches_per_chain_calls(mode, measure, search_radius):
+    # three sequences' navigators, the blob by the top-left corner, by the
+    # bottom-right corner and in the middle; their chains' regions clip at
+    # different borders, so the regions (one set) or unions (three sets)
+    # differ in size and are grown and clamped.  Chain 0 of the middle
+    # sequence looks 16 px below the blob and is the one weak region, so a
+    # min score just above it widens that chain alone.
+    _, sets = track_reference(_sequence([(24.0, 24.0 + i) for i in range(3)]), _ROI, mode=mode)
+    navs = [_sequence([centre]).frames[0] for centre in [(7.0, 8.0), (41.0, 40.0), (24.0, 25.0)]]
+    priors = np.array(
+        [
+            [[(1.5, 2.0)], [(0.0, 1.0)], [(2.0, 3.5)]],
+            [[(34.0, 33.5)], [(35.0, 35.0)], [(33.0, 32.0)]],
+            [[(18.0, 35.0)], [(18.5, 19.0)], [(17.0, 18.0)]],
+        ]
+    )[:, : len(sets)]
+    n_sets = len(sets)
+
+    def per_chain(min_score):
+        out = np.empty((3, n_sets), dtype=object)
+        for s, r in np.ndindex(3, n_sets):
+            region = None if search_radius is None else SearchRegion(tuple(priors[s, r, 0]), search_radius)
+            out[s, r] = match_template(navs[s].pixels, sets[r].templates[0], measure, region, min_score)
+        return out
+
+    regional = sorted(res.score for res in per_chain(-np.inf).flat)
+    # one weak chain widens, then (above any score) every chain of every sequence
+    for min_score, n_widened in [((regional[0] + regional[1]) / 2, 1), (2.0, 3 * n_sets)]:
+        want = per_chain(min_score)
+        positions, scores, flags = locate_in_navigator(navs, sets, priors, measure, search_radius, min_score)
+        assert positions.shape == (3, n_sets, 1, 2) and scores.shape == flags.shape == (3, n_sets, 1)
+        assert flags[..., 0].tolist() == [[res.widened for res in row] for row in want]
+        assert flags.sum() == (n_widened if search_radius else 0)
+        assert flags[2, 0, 0] == bool(search_radius)
+        for s, r in np.ndindex(3, n_sets):
+            np.testing.assert_allclose(positions[s, r, 0], want[s, r].position, rtol=0, atol=1e-9)
+            assert scores[s, r, 0] == pytest.approx(want[s, r].score, abs=1e-9)
 
 
 def test_empty_roi_rectangle_is_rejected():

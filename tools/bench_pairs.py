@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Alternating A/B runs of the stage benchmark between two checkouts.
+
+    python3 tools/bench_pairs.py --parent A --change B --workload baseline_bulk \
+        --pairs 10 --seed 50 --out BENCH.json
+
+Pair ``i`` runs ``DIR/stagebench/run.py --workload W --seed S+i`` once in
+each checkout, with the interpreter running this script, so the run length
+and tracing are run.py's own defaults.  Even pairs run the parent first and
+odd pairs the change first, so a drift in the host's speed falls on both
+sides alike.  ``--out`` holds one JSON entry per workload, and a
+run replaces only its own workload's entry.  An entry holds every run's result,
+then per side the median and quartiles of every metric, then for each
+end-to-end metric of the change's ``BENCHMARK.json`` the number of pairs the
+change won and whether its median beats the parent's by more than the
+parent's interquartile range.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One benchmark run; the result object is run.py's last stdout line."""
+    cmd = [sys.executable, str(checkout / "stagebench" / "run.py"), "--workload", workload, "--seed", str(seed)]
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    return result
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0, help="pair i runs seed + i on both sides")
+    parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    runs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            result = run_once(dirs[side], args.workload, seed)
+            runs.append({"pair": i, "seed": seed, "side": side, **result})
+            print(f"pair {i} seed {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr, flush=True)
+
+    by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"]) for side in SIDES}
+    names = sorted(set.intersection(*(set(r["metrics"]) for r in runs)))
+    summary = {
+        side: {name: quartiles([r["metrics"][name] for r in by_side[side]]) for name in names} for side in SIDES
+    }
+    wins = {}
+    for metric in declared:
+        name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
+        gains = [sign * (p["metrics"][name] - c["metrics"][name]) for p, c in zip(by_side["parent"], by_side["change"])]
+        gain = sign * (summary["parent"][name]["median"] - summary["change"][name]["median"])
+        wins[name] = {
+            "better": metric["better"],
+            "change_won": sum(g > 0 for g in gains),
+            "pairs": args.pairs,
+            "median_gain": gain,
+            "parent_iqr": summary["parent"][name]["iqr"],
+            "gain_exceeds_parent_iqr": gain > summary["parent"][name]["iqr"],
+        }
+    report = {
+        "workload": args.workload,
+        "seeds": list(range(args.seed, args.seed + args.pairs)),
+        "failed_operations": sum(r["failed"] for r in runs),
+        "all_correct": all(r["correct"] for r in runs),
+        "runs": runs,
+        "summary": summary,
+        "wins": wins,
+    }
+    # one entry per workload: a run replaces its workload's entry and keeps the others
+    reports = json.loads(args.out.read_text()) if args.out.exists() else {}
+    reports[args.workload] = report
+    args.out.write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(wins, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
