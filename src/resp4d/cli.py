@@ -94,7 +94,7 @@ def _load_rois(path: str):
         obj = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise DatasetIOError(f"missing file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not text
         raise ValidationError(f"unparseable ROI JSON in {path}: {exc}") from exc
     return rois_from_obj(obj)
 

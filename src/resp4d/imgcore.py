@@ -224,7 +224,7 @@ def _load_meta(path: Path, schema: dict) -> dict:
         raise DatasetIOError(f"missing file: {path}")
     try:
         meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not text
         raise DatasetIOError(f"unparseable JSON in {path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise DatasetIOError(f"{path}: expected a JSON object, got {type(meta).__name__}")

@@ -18,9 +18,11 @@ placement box.  The cross term is computed in one of three ways, following
 J. P. Lewis, "Fast Normalized Cross-Correlation", Vision Interface 1995:
 one template searched over the whole frame correlates in the frequency
 domain (the template's spectrum is kept on the template); one template over
-a smaller box is an ``einsum`` over the strided window view; R > 1 templates
-are one matrix product of an im2col copy of the windows with the stacked
-``(n, R)`` template matrix, taken in bands of placements.
+a smaller box (a crop, or a stack of crops) is a Toeplitz product, each row
+of placements being the ``th`` image rows it covers times one banded
+``(th * w, ow)`` matrix that holds every horizontal shift of the template;
+R > 1 templates are one matrix product of an im2col copy of the windows with
+the stacked ``(n, R)`` template matrix, taken in bands of placements.
 """
 
 from __future__ import annotations
@@ -240,7 +242,9 @@ def match_scores(image, templates: list[Template], measure: str,
     for inclusive ``bounds`` ``(x0, x1, y0, y1)``.  The patch statistics are
     computed once for all R templates.  For one template ``image`` may also
     be a stack ``(S, H, W)``, scored over the same box in every image, giving
-    ``(S, 1, oh, ow)``.
+    ``(S, 1, oh, ow)``.  The cross term is an FFT correlation when one
+    template covers the whole of a 2D frame, a Toeplitz product for one
+    template over a smaller box, and banded im2col products for R > 1.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -278,8 +282,14 @@ def match_scores(image, templates: list[Template], measure: str,
                 templates[0]._spectra[(img.shape, measure)] = spectrum
             cross = np.fft.irfft2(np.fft.rfft2(img) * spectrum, s=img.shape)[:oh, :ow]
         else:
-            windows = sliding_window_view(crop, (th, tw), axis=(-2, -1))
-            cross = np.einsum("...ijkl,kl->...ij", windows, kernels[0])
+            # template row k slides along image row i + k: one banded matrix
+            # holds every horizontal shift, and output row i is rows i..i+th-1 times it
+            w = crop.shape[-1]
+            band = np.zeros((th, w, ow))
+            j = np.arange(ow)
+            band[:, j[None, :] + np.arange(tw)[:, None], j] = kernels[0][:, :, None]
+            rows = np.swapaxes(sliding_window_view(crop, th, axis=-2), -1, -2)
+            cross = rows.reshape(crop.shape[:-2] + (oh, th * w)) @ band.reshape(th * w, ow)
         scores = _normalize(cross, s1, s2, None if sums is None else sums[0], energies[0], th * tw)
         return scores[..., None, :, :]
 

@@ -67,6 +67,14 @@ class Roi:
 
 
 RoiSpec = list[Roi]
+# (key, JSON type, description) of every field of a rois.json entry
+_ROI_FIELDS = (
+    ("label", str, "a string"),
+    ("x", int, "an integer"),
+    ("y", int, "an integer"),
+    ("w", int, "an integer"),
+    ("h", int, "an integer"),
+)
 
 
 def rois_from_obj(obj) -> RoiSpec:
@@ -74,19 +82,17 @@ def rois_from_obj(obj) -> RoiSpec:
     if not isinstance(obj, list) or not obj:
         raise ValidationError("ROI spec must be a non-empty list of rectangles")
     rois = []
-    for entry in obj:
-        try:
-            rois.append(
-                Roi(
-                    label=str(entry["label"]),
-                    x=int(entry["x"]),
-                    y=int(entry["y"]),
-                    width=int(entry["w"]),
-                    height=int(entry["h"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad ROI entry {entry!r}: {exc}") from exc
+    for i, entry in enumerate(obj):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"bad ROI entry {i}: expected an object, got {entry!r}")
+        for key, kind, expected in _ROI_FIELDS:
+            if key not in entry:
+                raise ValidationError(f"bad ROI entry {i}: missing key {key!r}")
+            # JSON integers only: int() would truncate 18.7, overflow on
+            # Infinity and turn true into a 1-pixel template
+            if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
+                raise ValidationError(f"bad ROI entry {i}: key {key!r} must be {expected}, got {entry[key]!r}")
+        rois.append(Roi(label=entry["label"], x=entry["x"], y=entry["y"], width=entry["w"], height=entry["h"]))
     labels = [r.label for r in rois]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"duplicate ROI labels in {labels}")

@@ -333,6 +333,59 @@ def test_metadata_must_be_an_object(workdir, tmp_path, capsys):
     assert err.startswith("error: ") and "expected a JSON object, got list" in err
 
 
+def _reconstruct_fails(dataset, rois, out, capsys):
+    """Run ``reconstruct``; assert exit 1 with one ``error:`` line and no output, and return that line."""
+    code = main(["reconstruct", "--dataset", str(dataset), "--rois", str(rois), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("name", ["dataset.json", "il000/seq.json", "rois.json"])
+def test_undecodable_json_fails_validation(workdir, tmp_path, capsys, name):
+    # bytes that are not UTF-8 raise UnicodeDecodeError, not JSONDecodeError
+    _, dataset_dir = workdir
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset_dir, broken)
+    (broken / name).write_bytes(b"\xff\xfe")
+    err = _reconstruct_fails(broken, broken / "rois.json", tmp_path / "rec", capsys)
+    assert "unparseable" in err and str(broken / name) in err
+    if name != "rois.json":
+        assert main(["validate", "--dataset", str(broken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(broken / name) in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("x", float("inf")), "bad ROI entry 0: key 'x' must be an integer, got inf"),
+        (_set("x", 18.7), "bad ROI entry 0: key 'x' must be an integer, got 18.7"),
+        (_set("w", True), "bad ROI entry 0: key 'w' must be an integer, got True"),
+        (_set("x", "18"), "bad ROI entry 0: key 'x' must be an integer, got '18'"),
+        (_set("label", 7), "bad ROI entry 0: key 'label' must be a string, got 7"),
+        (_drop("h"), "bad ROI entry 0: missing key 'h'"),
+    ],
+    ids=["x-infinity", "x-fraction", "w-bool", "x-string", "label-number", "no-h"],
+)
+def test_roi_fields_must_be_json_integers(workdir, tmp_path, capsys, edit, message):
+    _, dataset_dir = workdir
+    rois = json.loads((dataset_dir / "rois.json").read_text())
+    edit(rois[0])
+    path = tmp_path / "rois.json"
+    path.write_text(json.dumps(rois))
+    assert message in _reconstruct_fails(dataset_dir, path, tmp_path / "rec", capsys)
+
+
+def test_roi_entries_must_be_objects(workdir, tmp_path, capsys):
+    _, dataset_dir = workdir
+    path = tmp_path / "rois.json"
+    path.write_text(json.dumps(json.loads((dataset_dir / "rois.json").read_text()) + [[1, 2, 3, 4]]))
+    assert "bad ROI entry 1: expected an object" in _reconstruct_fails(dataset_dir, path, tmp_path / "rec", capsys)
+
+
 def test_sweep_writes_the_rate_grid(workdir, capsys):
     root, dataset_dir = workdir
     out_dir = root / "sweep"

@@ -135,6 +135,50 @@ def test_region_search_keeps_the_spatial_kernel(measure, spectral_calls):
     np.testing.assert_allclose(region, full[10:21, 15:26], rtol=0, atol=1e-12)
 
 
+# --- one template over a region (Toeplitz product cross term) ----------------
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("width, height", [(8, 6), (5, 9), (7, 7)])
+def test_region_scores_match_brute_force(measure, width, height, spectral_calls):
+    stack = np.stack([_rng_image(31 + s, shape=(30, 36)) for s in range(3)])
+    stack[:, :10, :] = 300.0  # flat patches along the top border
+    tpl = cut_template(stack[1], 12, 14, width, height)
+    ymax, xmax = 30 - height, 36 - width
+    regions = [
+        SearchRegion(center=(xmax - 2.0, ymax - 1.0), radius=5),  # clipped right and bottom
+        SearchRegion(center=(10.0, 1.0), radius=4),  # clipped at the top, over the flat rows
+        SearchRegion(center=(15.5, 12.25), radius=3),  # interior, fractional centre
+    ]
+    boxes = [placement_bounds((30, 36), (height, width), region) for region in regions]
+    assert (boxes[0][1], boxes[0][3], boxes[1][2]) == (xmax, ymax, 0)
+    for box in boxes:
+        x0, x1, y0, y1 = box
+        got = match_scores(stack, [tpl], measure, box)[:, 0]
+        assert got.shape == (3, y1 - y0 + 1, x1 - x0 + 1)
+        for img, scores in zip(stack, got):
+            want = _brute_force_response(img, tpl, measure)[y0 : y1 + 1, x0 : x1 + 1]
+            assert np.max(np.abs(scores - want)) < 1e-9
+            assert np.array_equal(match_scores(img, [tpl], measure, box)[0], scores)
+        if measure == CCOEFF_NORMED:
+            flat = max(0, 10 - height + 1 - y0)  # placements wholly inside the flat rows
+            assert np.all(got[:, :flat] == 0.0)
+    assert not spectral_calls
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_region_self_match_is_exact(measure, spectral_calls):
+    img = _rng_image(32, shape=(47, 53))
+    for x, y in ((17, 30), (53 - 9, 47 - 11), (0, 0), (40, 3)):  # interior, corners, border
+        tpl = cut_template(img, x, y, 9, 11)
+        res = match_template(img, tpl, measure, SearchRegion(center=(x + 1.5, y - 2.0), radius=6))
+        assert (res.position, res.score, res.widened) == ((float(x), float(y)), 1.0, False)
+        centres = np.array([[[x + 1.5, y - 2.0]], [[x - 3.0, y + 4.0]]])
+        positions, scores, widened = match_templates([img, img], [tpl], measure, centers=centres, radius=6)
+        assert positions.tolist() == [[[x, y]]] * 2 and scores.tolist() == [[1.0]] * 2 and not widened.any()
+    assert not spectral_calls
+
+
 def test_template_spectrum_is_kept_per_frame_shape_and_measure():
     tpl = cut_template(_rng_image(24), 9, 7, 8, 6)
     for shape in ((40, 48), (33, 35)):

@@ -9,11 +9,14 @@ each checkout, with the interpreter running this script, so the run length
 and tracing are run.py's own defaults.  Even pairs run the parent first and
 odd pairs the change first, so a drift in the host's speed falls on both
 sides alike.  ``--out`` holds one JSON entry per workload, and a
-run replaces only its own workload's entry.  An entry holds every run's result,
-then per side the median and quartiles of every metric, then for each
-end-to-end metric of the change's ``BENCHMARK.json`` the number of pairs the
-change won and whether its median beats the parent's by more than the
-parent's interquartile range.  Standard library only.
+run replaces only its own workload's entry.  An entry holds every run's result
+and per side the operations attempted and failed, then per side the median
+and quartiles of every metric, then for each end-to-end metric of the
+change's ``BENCHMARK.json`` the number of pairs the change won and whether
+its median beats the parent's by more than the parent's interquartile range.
+If a run of run.py fails, its stderr is printed, the entry is written with
+the runs completed so far and ``"complete": false``, and the exit status is
+1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -57,12 +60,18 @@ def main(argv=None) -> int:
     declared = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            result = run_once(dirs[side], args.workload, seed)
-            runs.append({"pair": i, "seed": seed, "side": side, **result})
-            print(f"pair {i} seed {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr, flush=True)
+    report = {"workload": args.workload, "seeds": list(range(args.seed, args.seed + args.pairs)), "runs": runs}
+    try:
+        for i in range(args.pairs):
+            seed = args.seed + i
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                result = run_once(dirs[side], args.workload, seed)
+                runs.append({"pair": i, "seed": seed, "side": side, **result})
+                print(f"pair {i} seed {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr, flush=True)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {exc}\n{exc.stderr}", file=sys.stderr)
+        write_entry(args.out, {**report, **operations(runs), "complete": False})
+        return 1
 
     by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"]) for side in SIDES}
     names = sorted(set.intersection(*(set(r["metrics"]) for r in runs)))
@@ -82,21 +91,25 @@ def main(argv=None) -> int:
             "parent_iqr": summary["parent"][name]["iqr"],
             "gain_exceeds_parent_iqr": gain > summary["parent"][name]["iqr"],
         }
-    report = {
-        "workload": args.workload,
-        "seeds": list(range(args.seed, args.seed + args.pairs)),
-        "failed_operations": sum(r["failed"] for r in runs),
-        "all_correct": all(r["correct"] for r in runs),
-        "runs": runs,
-        "summary": summary,
-        "wins": wins,
-    }
-    # one entry per workload: a run replaces its workload's entry and keeps the others
-    reports = json.loads(args.out.read_text()) if args.out.exists() else {}
-    reports[args.workload] = report
-    args.out.write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
+    write_entry(args.out, {**report, **operations(runs), "complete": True, "summary": summary, "wins": wins})
     print(json.dumps(wins, indent=2))
     return 0
+
+
+def operations(runs: list[dict]) -> dict:
+    """Operations attempted and failed per side, so a larger failed share on either side shows."""
+    per_side = {
+        side: {key: sum(r[key] for r in runs if r["side"] == side) for key in ("attempted", "failed")}
+        for side in SIDES
+    }
+    return {"operations": per_side, "all_correct": all(r["correct"] for r in runs)}
+
+
+def write_entry(out: Path, report: dict) -> None:
+    """Write ``report`` as its workload's entry of ``out``, keeping the other workloads' entries."""
+    reports = json.loads(out.read_text()) if out.exists() else {}
+    reports[report["workload"]] = report
+    out.write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
