@@ -182,6 +182,12 @@ def _validate(spec: PhantomSpec, seed: int) -> None:
         raise ValidationError("signal.components: the breathing signal needs a component of positive weight")
     if not spec.noise_std >= 0:
         raise ValidationError(f"noise_std must be non-negative, got {spec.noise_std}")
+    for key, value in (("seed", seed), ("signal.seed", spec.signal.seed)):
+        if value < 0:  # numpy seeds only from non-negative integers
+            raise ValidationError(f"{key} must be non-negative, got {value}")
+    spacing = list(spec.in_plane_spacing_mm)
+    if not all(math.isfinite(v) and v > 0 for v in spacing):  # the dataset loader's own rule
+        raise ValidationError(f"key 'in_plane_spacing_mm' must be two positive numbers, got {spacing}")
     if spec.reference_frames < 3:
         raise ValidationError("reference needs at least 3 frames for enclosing navigators")
     if spec.sequences < 1 or spec.data_frames_per_sequence < 1:
@@ -218,7 +224,7 @@ def render_frame(
 ) -> np.ndarray:
     """Render (cx, cy, sigma_x, sigma_y, amplitude) Gaussian blobs to uint16."""
     h, w = shape
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    yy, xx = np.ogrid[0:h, 0:w]  # x terms on a (1, w) row, y terms on an (h, 1) column
     img = np.full(shape, float(background))
     for cx, cy, sx, sy, amp in blobs:
         img += amp * np.exp(-(((xx - cx) ** 2) / (2.0 * sx * sx) + ((yy - cy) ** 2) / (2.0 * sy * sy)))
@@ -258,6 +264,7 @@ def generate_phantom(spec: PhantomSpec, seed: int = 0) -> tuple[Dataset, GroundT
     _validate(spec, seed)
     names, counts = _session_layout(spec)
     period = spec.frame_period_ms
+    shape = (spec.frame_height, spec.frame_width)
     forced = dict(spec.sequence_offsets_px)
 
     nav_positions: dict[str, np.ndarray] = {}
@@ -274,23 +281,13 @@ def generate_phantom(spec: PhantomSpec, seed: int = 0) -> tuple[Dataset, GroundT
             const_px = forced.get(s, 0.0)
         frames = []
         pos_rows, state_rows = [], []
-        for i in range(count):
-            t = g * period
-            disp = float(spec.signal.value(t, time_offset, amp_factor)) + const_px
-            state = float(spec.signal.state(t, time_offset, amp_factor))
+        times = (g + np.arange(count)) * period
+        disps = (spec.signal.value(times, time_offset, amp_factor) + const_px).tolist()
+        states = spec.signal.state(times, time_offset, amp_factor).tolist()
+        for i, (t, disp, state) in enumerate(zip(times.tolist(), disps, states)):
             blobs, centres = _vessel_blobs(spec, disp, state)
-            rng = (
-                np.random.default_rng([seed, _TAG_NOISE, g])
-                if spec.noise_std > 0.0
-                else None
-            )
-            pixels = render_frame(
-                (spec.frame_height, spec.frame_width),
-                blobs,
-                background=spec.background,
-                noise_std=spec.noise_std,
-                rng=rng,
-            )
+            rng = np.random.default_rng([seed, _TAG_NOISE, g]) if spec.noise_std > 0.0 else None
+            pixels = render_frame(shape, blobs, background=spec.background, noise_std=spec.noise_std, rng=rng)
             kind = NAVIGATOR if (is_reference or i % 2 == 0) else DATA
             if kind == NAVIGATOR:
                 slice_mm = spec.navigator_slice_mm
@@ -357,27 +354,28 @@ def oracle_matches(
 
     Keys are (sequence_index, reference_timepoint, data_frame_ordinal) with
     the ordinal counted inside the interleaved sequence; values are
-    (accepted, total displacement).  Deliberately plain Python so it shares
-    no arithmetic with the pipeline.
+    (accepted, total displacement).  Deliberately plain Python, a loop of
+    ``math.hypot`` over Python floats, so it shares no arithmetic with the
+    pipeline.
     """
     if aggregation not in ("sum", "mean"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    ref = truth.nav_positions[reference]
-    n_ref = ref.shape[0]
-    n_vessels = ref.shape[1]
+    ref = truth.nav_positions[reference].tolist()
+    n_ref = len(ref)
+    n_vessels = len(ref[0])
     out: dict[tuple[int, int, int], tuple[bool, float]] = {}
     for s, name in enumerate(truth.interleaved_names):
-        nav = truth.nav_positions[name]
-        n_navs = nav.shape[0]
+        nav = truth.nav_positions[name].tolist()
+        n_navs = len(nav)
         for i in range(1, n_ref - 1):
             for k in range(n_navs - 1):
                 total = 0.0
                 for v in range(n_vessels):
                     total += math.hypot(
-                        ref[i - 1, v, 0] - nav[k, v, 0], ref[i - 1, v, 1] - nav[k, v, 1]
+                        ref[i - 1][v][0] - nav[k][v][0], ref[i - 1][v][1] - nav[k][v][1]
                     )
                     total += math.hypot(
-                        ref[i + 1, v, 0] - nav[k + 1, v, 0], ref[i + 1, v, 1] - nav[k + 1, v, 1]
+                        ref[i + 1][v][0] - nav[k + 1][v][0], ref[i + 1][v][1] - nav[k + 1][v][1]
                     )
                 value = total if aggregation == "sum" else total / (2 * n_vessels)
                 out[(s, i, 2 * k + 1)] = (value < threshold, total)

@@ -1,5 +1,8 @@
 """Shared phantoms.
 
+Each session fixture renders its phantom once for every test that asks for
+it, so those tests only read it; a test that edits a dataset renders its own.
+
 The replay phantom is built so that breathing states recur exactly: one
 period is 19 frames (3800 ms / 200 ms) and 19 is odd, so the navigator state
 sequence cycles through all 19 lattice phases in both the reference and the
@@ -9,6 +12,7 @@ which makes reconstruction rates and oracle decisions exact.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +58,14 @@ def replay():
     return spec, dataset, truth, rois
 
 
+@pytest.fixture(scope="session")
+def replay_seed0():
+    """The replay phantom at seed 0."""
+    spec = replay_spec()
+    dataset, truth = generate_phantom(spec, seed=0)
+    return spec, dataset, truth
+
+
 def split_vessel_spec():
     """Modulated phantom for the method comparison.
 
@@ -92,11 +104,26 @@ def split_vessel_spec():
 
 
 @pytest.fixture(scope="session")
-def modulated_sweep():
-    """Full comparison grid on the modulated phantom, run once per session."""
+def split_vessel():
+    """The modulated phantom at seed 5 and its suggested ROIs."""
     spec = split_vessel_spec()
     dataset, truth = generate_phantom(spec, seed=5)
-    rois = suggested_rois(spec, truth)
+    return spec, dataset, truth, suggested_rois(spec, truth)
+
+
+@pytest.fixture(scope="session")
+def pinned_split():
+    """The modulated phantom at seed 4 with the motion and the noise turned off."""
+    spec = split_vessel_spec()
+    spec = replace(spec, noise_std=0.0, signal=replace(spec.signal, amplitude_px=0.0))
+    dataset, truth = generate_phantom(spec, seed=4)
+    return spec, dataset, truth
+
+
+@pytest.fixture(scope="session")
+def modulated_sweep(split_vessel):
+    """Full comparison grid on the modulated phantom, run once per session."""
+    _, dataset, _, rois = split_vessel
     t0 = time.perf_counter()
     cells = sweep(dataset, rois, base_config=ReconstructionConfig())
     elapsed = time.perf_counter() - t0

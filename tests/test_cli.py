@@ -90,8 +90,13 @@ def test_malformed_phantom_spec_fails_validation(tmp_path, capsys, write, messag
         ({"signal": {"components": [{"period_ms": 3800.0, "weight": 0.0}]}}, "signal.components: the breathing signal"),
         ({"noise_std": -1.0}, "noise_std must be non-negative"),
         ({"vessels": [{"x": 24.0, "y": 20.0, "radius_px": 0.0}]}, "vessels[0].radius_px must be positive"),
+        ({"signal": {"seed": -3}}, "signal.seed must be non-negative, got -3"),
+        # the dataset loader's wording: phantom must not write what validate rejects
+        ({"in_plane_spacing_mm": [-1.0, 1.0]}, "key 'in_plane_spacing_mm' must be two positive numbers, got [-1.0, 1.0]"),
+        ({"in_plane_spacing_mm": [1.82, 0.0]}, "key 'in_plane_spacing_mm' must be two positive numbers, got [1.82, 0.0]"),
     ],
-    ids=["no-components", "zero-period", "negative-weight", "zero-weights", "negative-noise", "zero-radius"],
+    ids=["no-components", "zero-period", "negative-weight", "zero-weights", "negative-noise", "zero-radius",
+         "negative-signal-seed", "negative-spacing", "zero-spacing"],
 )
 def test_unusable_phantom_spec_fails_validation(tmp_path, capsys, spec, message):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -100,6 +105,15 @@ def test_unusable_phantom_spec_fails_validation(tmp_path, capsys, spec, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [{"noise_std": 2.0}, {}], ids=["noisy", "noiseless"])
+def test_negative_seed_fails_validation(tmp_path, capsys, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["phantom", "--out", str(out), "--spec", str(tmp_path / "spec.json"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not out.exists()
 
 

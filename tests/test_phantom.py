@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from resp4d import phantom
 from resp4d.errors import ValidationError
-from resp4d.imgcore import DATA, NAVIGATOR
+from resp4d.imgcore import DATA, NAVIGATOR, quantize_u16
 from resp4d.phantom import (
     BreathingSignal,
     GroundTruth,
@@ -46,6 +47,125 @@ def test_generation_is_bitwise_deterministic():
     for name in a_truth.nav_positions:
         assert np.array_equal(a_truth.nav_positions[name], b_truth.nav_positions[name])
         assert np.array_equal(a_truth.nav_states[name], b_truth.nav_states[name])
+
+
+# Every input the renderer reads: pixel noise, two breathing components, drift,
+# per-sequence phase and amplitude jitter, a forced offset, a modulated vessel
+# with satellites, and a split vessel.
+RICH_SPEC = PhantomSpec(
+    frame_height=72,
+    frame_width=88,
+    vessels=(
+        VesselSpec(
+            x=24.0,
+            y=30.0,
+            radius_px=2.0,
+            peak_intensity=1100.0,
+            modulation_depth=0.6,
+            satellite_offsets=((-9.0, 0.0), (9.0, 0.0)),
+        ),
+        VesselSpec(
+            x=60.0,
+            y=36.0,
+            radius_px=1.2,
+            peak_intensity=1000.0,
+            modulation_depth=0.9,
+            split_rest_px=3.0,
+            split_gain_px=4.0,
+        ),
+    ),
+    noise_std=5.0,
+    signal=BreathingSignal(
+        amplitude_px=4.0,
+        components=(SignalComponent(3800.0, 1.0), SignalComponent(1300.0, 0.3)),
+        drift_px_per_min=3.0,
+        seed=7,
+    ),
+    reference_frames=20,
+    sequences=3,
+    data_frames_per_sequence=6,
+    sequence_phase_jitter_ms=50.0,
+    sequence_amp_jitter=0.05,
+    sequence_offsets_px=((1, 1.5),),
+)
+
+
+def _per_frame_reference(spec, seed):
+    """(sequence, timestamp, pixels, centres, displacement) of every frame.
+
+    Built the way the renderer first did it, one frame at a time: a scalar
+    signal evaluation per timestamp, a full ``np.mgrid`` coordinate grid, and
+    the per-frame noise generator.
+    """
+    h, w = spec.frame_height, spec.frame_width
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    forced = dict(spec.sequence_offsets_px)
+    names, counts = phantom._session_layout(spec)
+    out = []
+    g = 0
+    for name, count in zip(names, counts):
+        if name.startswith("ref"):
+            time_offset, amp_factor, const_px = 0.0, 1.0, 0.0
+        else:
+            s = int(name[2:])
+            time_offset, amp_factor = phantom._sequence_jitter(spec, seed, s)
+            const_px = forced.get(s, 0.0)
+        for _ in range(count):
+            t = g * spec.frame_period_ms
+            disp = float(spec.signal.value(t, time_offset, amp_factor)) + const_px
+            state = float(spec.signal.state(t, time_offset, amp_factor))
+            blobs, centres = phantom._vessel_blobs(spec, disp, state)
+            img = np.full((h, w), float(spec.background))
+            for cx, cy, sx, sy, amp in blobs:
+                img += amp * np.exp(-(((xx - cx) ** 2) / (2.0 * sx * sx) + ((yy - cy) ** 2) / (2.0 * sy * sy)))
+            if spec.noise_std > 0.0:
+                rng = np.random.default_rng([seed, phantom._TAG_NOISE, g])
+                img += rng.normal(0.0, spec.noise_std, size=(h, w))
+            out.append((name, t, quantize_u16(img), centres, disp))
+            g += 1
+    return out
+
+
+def _indexed_oracle(truth, threshold, aggregation):
+    """``oracle_matches`` as first written, indexing the numpy truth arrays."""
+    ref = truth.nav_positions["ref1"]
+    n_vessels = ref.shape[1]
+    out = {}
+    for s, name in enumerate(truth.interleaved_names):
+        nav = truth.nav_positions[name]
+        for i in range(1, ref.shape[0] - 1):
+            for k in range(nav.shape[0] - 1):
+                total = 0.0
+                for v in range(n_vessels):
+                    total += math.hypot(ref[i - 1, v, 0] - nav[k, v, 0], ref[i - 1, v, 1] - nav[k, v, 1])
+                    total += math.hypot(
+                        ref[i + 1, v, 0] - nav[k + 1, v, 0], ref[i + 1, v, 1] - nav[k + 1, v, 1]
+                    )
+                value = total if aggregation == "sum" else total / (2 * n_vessels)
+                out[(s, i, 2 * k + 1)] = (value < threshold, total)
+    return out
+
+
+def test_renderer_reproduces_the_per_frame_arithmetic_bit_for_bit():
+    seed = 3
+    dataset, truth = generate_phantom(RICH_SPEC, seed=seed)
+    expected = _per_frame_reference(RICH_SPEC, seed)
+    got = [("ref1", f) for f in dataset.reference_1.frames]
+    got += [(f"il{seq.sequence_index:03d}", f) for seq in dataset.interleaved for f in seq.frames]
+    got += [("ref2", f) for f in dataset.reference_2.frames]
+    assert [name for name, _ in got] == [row[0] for row in expected]
+    for (_, frame), (_, t, pixels, _, _) in zip(got, expected):
+        assert type(frame.timestamp_ms) is float and frame.timestamp_ms == t
+        assert frame.pixels.dtype == np.uint16
+        assert np.array_equal(frame.pixels, pixels)
+    for name in truth.nav_positions:
+        navs = [row for (seq, f), row in zip(got, expected) if seq == name and f.kind == NAVIGATOR]
+        assert np.array_equal(truth.nav_positions[name], np.asarray([row[3] for row in navs]))
+        assert np.array_equal(truth.nav_states[name], np.asarray([row[4] for row in navs]))
+    for threshold, aggregation in ((1.0, "sum"), (2.0, "mean"), (4.0, "sum")):
+        oracle = oracle_matches(truth, threshold, aggregation)
+        assert oracle == _indexed_oracle(truth, threshold, aggregation)
+        assert 0 < sum(accepted for accepted, _ in oracle.values()) < len(oracle)
 
 
 def test_different_seed_changes_the_noise():
@@ -124,9 +244,8 @@ def test_forced_sequence_offset_shifts_one_sequence_only():
     )
 
 
-def test_session_layout_and_slice_positions():
-    spec = replay_spec()
-    dataset, _ = generate_phantom(spec, seed=0)
+def test_session_layout_and_slice_positions(replay_seed0):
+    spec, dataset, _ = replay_seed0
     assert len(dataset.reference_1.frames) == spec.reference_frames
     assert len(dataset.reference_2.frames) == spec.reference_frames
     assert len(dataset.interleaved) == spec.sequences
@@ -154,6 +273,14 @@ def test_vessel_leaving_the_frame_is_rejected():
         generate_phantom(spec, seed=0)
 
 
+@pytest.mark.parametrize("spacing", [(math.inf, 1.0), (1.0, math.nan)], ids=["infinite", "nan"])
+def test_non_finite_spacing_is_rejected(spacing):
+    # a JSON spec cannot carry these; a spec built in Python can
+    with pytest.raises(ValidationError) as exc:
+        generate_phantom(replay_spec(in_plane_spacing_mm=spacing), seed=0)
+    assert str(exc.value) == f"key 'in_plane_spacing_mm' must be two positive numbers, got {list(spacing)}"
+
+
 def test_split_width_counts_toward_the_margin():
     # The same vessel fits without the split and is rejected with it.
     base = dict(x=12.0, y=32.0, radius_px=2.0)
@@ -167,27 +294,18 @@ def test_split_width_counts_toward_the_margin():
         generate_phantom(wide, seed=0)
 
 
-def _pinned(spec):
-    """Same phantom with the motion and the noise turned off."""
-    from dataclasses import replace
-
-    return replace(spec, noise_std=0.0, signal=replace(spec.signal, amplitude_px=0.0))
-
-
-def test_appearance_modulation_without_motion():
+def test_appearance_modulation_without_motion(pinned_split):
     # state is driven by the normalized oscillation, so frames change shape
     # even when the displacement amplitude is zero.
-    spec = _pinned(split_vessel_spec())
-    dataset, truth = generate_phantom(spec, seed=4)
+    _, dataset, truth = pinned_split
     assert np.allclose(truth.nav_positions["ref1"], truth.nav_positions["ref1"][0])
     frames = dataset.reference_1.frames
     assert not all(np.array_equal(f.pixels, frames[0].pixels) for f in frames[1:])
 
 
-def test_split_vessel_renders_a_widening_pair():
-    spec = _pinned(split_vessel_spec())
+def test_split_vessel_renders_a_widening_pair(pinned_split):
+    spec, dataset, _ = pinned_split
     vessel = spec.vessels[0]
-    dataset, _ = generate_phantom(spec, seed=4)
     frames = dataset.reference_1.frames
     states = [float(spec.signal.state(f.timestamp_ms)) for f in frames]
     deep = int(np.argmax(states))
@@ -203,9 +321,8 @@ def test_split_vessel_renders_a_widening_pair():
     assert peaks[1] == pytest.approx(vessel.x + sep / 2.0, abs=1.0)
 
 
-def test_suggested_rois_are_odd_squares_centred_on_frame0():
-    spec = replay_spec()
-    _, truth = generate_phantom(spec, seed=0)
+def test_suggested_rois_are_odd_squares_centred_on_frame0(replay_seed0):
+    spec, _, truth = replay_seed0
     rois = suggested_rois(spec, truth)
     assert [r.label for r in rois] == truth.labels
     for roi, vessel in zip(rois, spec.vessels):
@@ -254,9 +371,8 @@ def test_oracle_matches_handcrafted_geometry():
     assert at_limit[(0, 1, 1)] == (False, 10.0)
 
 
-def test_oracle_mean_aggregation_matches_sum_totals():
-    spec = replay_spec()
-    _, truth = generate_phantom(spec, seed=3)
+def test_oracle_mean_aggregation_matches_sum_totals(replay):
+    _, _, truth, _ = replay
     by_sum = oracle_matches(truth, threshold=4.0, aggregation="sum")
     n_vessels = len(truth.labels)
     by_mean = oracle_matches(truth, threshold=4.0 / (2 * n_vessels), aggregation="mean")
@@ -267,16 +383,14 @@ def test_oracle_mean_aggregation_matches_sum_totals():
         assert mean_total == pytest.approx(total, abs=1e-9)
 
 
-def test_oracle_rejects_unknown_aggregation():
-    spec = replay_spec()
-    _, truth = generate_phantom(spec, seed=3)
+def test_oracle_rejects_unknown_aggregation(replay):
+    _, _, truth, _ = replay
     with pytest.raises(ValueError, match="aggregation"):
         oracle_matches(truth, threshold=1.0, aggregation="median")
 
 
-def test_ground_truth_csv_lists_every_navigator(tmp_path):
-    spec = replay_spec()
-    _, truth = generate_phantom(spec, seed=3)
+def test_ground_truth_csv_lists_every_navigator(replay, tmp_path):
+    spec, _, truth, _ = replay
     path = tmp_path / "truth.csv"
     write_ground_truth_csv(truth, path)
     with open(path, newline="") as fh:

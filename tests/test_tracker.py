@@ -23,8 +23,6 @@ from resp4d.tracker import (
     write_trace_csv,
 )
 
-from conftest import split_vessel_spec
-
 
 def _sequence(centres, shape=(48, 48), radius=2.0, peak=900.0, background=50.0):
     """Noise-free single-blob navigator sequence with the blob at ``centres``."""
@@ -85,13 +83,11 @@ def test_modes_agree_on_rigid_motion():
     assert gap.max() <= 0.3
 
 
-def test_shape_change_defeats_fixed_templates():
+def test_shape_change_defeats_fixed_templates(split_vessel):
     # The split vessel widens with the breathing state.  Updated templates
     # follow the pair; the frame-0 template sees two mirror alignments and
     # keeps locking half a separation off centre.
-    spec = split_vessel_spec()
-    dataset, truth = generate_phantom(spec, seed=5)
-    rois = suggested_rois(spec, truth)
+    _, dataset, truth, rois = split_vessel
     half = rois[0].width // 2
     centres = truth.nav_positions["ref1"]
 
@@ -105,10 +101,8 @@ def test_shape_change_defeats_fixed_templates():
     assert errors[FIXED] > 0.5
 
 
-def test_updating_returns_one_template_set_per_frame():
-    spec = split_vessel_spec()
-    dataset, truth = generate_phantom(spec, seed=5)
-    rois = suggested_rois(spec, truth)
+def test_updating_returns_one_template_set_per_frame(split_vessel):
+    _, dataset, _, rois = split_vessel
     trace, sets = track_reference(dataset.reference_1, rois, mode=UPDATING)
     assert len(sets) == trace.n_frames
     assert [s.frame_index for s in sets] == list(range(trace.n_frames))
