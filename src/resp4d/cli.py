@@ -146,12 +146,14 @@ def _cmd_track(args) -> int:
 def _cmd_reconstruct(args) -> int:
     config = _config_from_args(args)
     dataset = load_dataset(args.dataset)
-    volume, report = reconstruct(dataset, _load_rois(args.rois), config)
+    rois = _load_rois(args.rois)
+    t0 = time.perf_counter()  # the stacks are averaged while they are saved
+    volume, report = reconstruct(dataset, rois, config)
     save_reconstruction(volume, report, args.out)
     print(
         f"rate {report.reconstruction_rate:.2f}% "
         f"({int(volume.completeness.sum())}/{volume.completeness.size} cells), "
-        f"{report.seconds:.2f}s"
+        f"{time.perf_counter() - t0:.2f}s"
     )
     return EXIT_OK
 

@@ -182,6 +182,9 @@ def _validate(spec: PhantomSpec, seed: int) -> None:
         raise ValidationError("signal.components: the breathing signal needs a component of positive weight")
     if not spec.noise_std >= 0:
         raise ValidationError(f"noise_std must be non-negative, got {spec.noise_std}")
+    for key in ("frame_period_ms", "slice_gap_mm"):
+        if not getattr(spec, key) > 0:  # also catches NaN
+            raise ValidationError(f"{key} must be positive, got {getattr(spec, key)}")
     for key, value in (("seed", seed), ("signal.seed", spec.signal.seed)):
         if value < 0:  # numpy seeds only from non-negative integers
             raise ValidationError(f"{key} must be non-negative, got {value}")

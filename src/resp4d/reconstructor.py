@@ -4,7 +4,8 @@ For every eligible reference timepoint (all but the boundary frames) each
 interleaved sequence contributes the data frames whose enclosing navigators
 agree with the timepoint's breathing state.  Matched frames are averaged
 pixelwise per slice position, slices are stacked in ascending position order,
-and empty bins are recorded in a completeness map and stored black.
+and empty bins are recorded in a completeness map and stored black.  Each
+timepoint's stack is averaged only when it is saved, one timepoint at a time.
 
 Which templates face the interleaved navigators depends on the method: the
 updating method localizes with the template set of the specific reference
@@ -75,9 +76,22 @@ class ReconstructionConfig:
 class Volume4D:
     timepoints: list[int]
     slice_positions_mm: list[float]
-    voxels: np.ndarray  # (n_timepoints, n_slices, H, W) float64
     completeness: np.ndarray  # (n_timepoints, n_slices) bool
     voxel_spacing_mm: tuple[float, float, float]  # (row, column, slice step)
+    frame_shape: tuple[int, int]
+    # per slice in ascending position: the sequence's data frame pixels (column
+    # k is ordinal 2k + 1) and its accepted (n_timepoints, n_data_frames) mask
+    data_frames: list[list[np.ndarray]]
+    accepted: list[np.ndarray]
+
+    def stack(self, ti: int) -> np.ndarray:
+        """(n_slices, H, W) float64 averages of timepoint index ``ti``; zero where a bin is empty."""
+        out = np.zeros((len(self.data_frames),) + self.frame_shape)
+        for si, (frames, accepted) in enumerate(zip(self.data_frames, self.accepted)):
+            ks = np.nonzero(accepted[ti])[0]
+            if ks.size:
+                out[si] = average_bin([frames[k] for k in ks])
+        return out
 
 
 @dataclass
@@ -156,7 +170,7 @@ def displacement_tables(
 def decide_all(
     dataset: Dataset, tables: list[np.ndarray], widened: int, config: ReconstructionConfig
 ) -> ReconstructionReport:
-    """Apply the acceptance rule to every sequence's table; voxels are not built."""
+    """Apply the acceptance rule to every sequence's table; nothing is averaged."""
     totals, accepted = zip(*(decide(t, config.threshold_px, config.aggregation) for t in tables))
     filled = np.stack([a.any(axis=1) for a in accepted], axis=1)  # (timepoint, sequence)
     slice_mm = {s: float(seq.data_slice_position_mm) for s, seq in enumerate(dataset.interleaved)}
@@ -190,22 +204,18 @@ def reconstruct(
     seqs = dataset.interleaved
     order = sorted(range(len(seqs)), key=report.sequence_slice_mm.__getitem__)
     completeness = np.stack([report.accepted[s].any(axis=1) for s in order], axis=1)
-    voxels = np.zeros(completeness.shape + dataset.frame_shape)
-    for idx_i, si in zip(*np.nonzero(completeness)):
-        s = order[si]
-        ks = np.nonzero(report.accepted[s][idx_i])[0]
-        voxels[idx_i, si] = average_bin([seqs[s].frames[2 * k + 1].pixels for k in ks])
-
     volume = Volume4D(
         timepoints=list(range(1, len(completeness) + 1)),
         slice_positions_mm=[report.sequence_slice_mm[s] for s in order],
-        voxels=voxels,
         completeness=completeness,
         voxel_spacing_mm=(
             dataset.in_plane_spacing_mm[0],
             dataset.in_plane_spacing_mm[1],
             dataset.slice_gap_mm,
         ),
+        frame_shape=dataset.frame_shape,
+        data_frames=[[f.pixels for f in seqs[s].frames[1::2]] for s in order],
+        accepted=[report.accepted[s] for s in order],
     )
     report.seconds = time.perf_counter() - t0
     return volume, report
@@ -227,13 +237,12 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
     for idx_i, i in enumerate(volume.timepoints):
         name = f"t{i:04d}.u16le"
         stack_names.append(name)
-        (out / name).write_bytes(quantize_u16(volume.voxels[idx_i]).astype("<u2").tobytes())
+        (out / name).write_bytes(quantize_u16(volume.stack(idx_i)).astype("<u2").tobytes())
 
-    h, w = volume.voxels.shape[2:]
     manifest = {
         "timepoints": volume.timepoints,
         "slice_positions_mm": volume.slice_positions_mm,
-        "frame_shape": [h, w],
+        "frame_shape": list(volume.frame_shape),
         "voxel_spacing_mm": list(volume.voxel_spacing_mm),
         "completeness": volume.completeness.tolist(),
         "stacks": stack_names,

@@ -94,9 +94,12 @@ def test_malformed_phantom_spec_fails_validation(tmp_path, capsys, write, messag
         # the dataset loader's wording: phantom must not write what validate rejects
         ({"in_plane_spacing_mm": [-1.0, 1.0]}, "key 'in_plane_spacing_mm' must be two positive numbers, got [-1.0, 1.0]"),
         ({"in_plane_spacing_mm": [1.82, 0.0]}, "key 'in_plane_spacing_mm' must be two positive numbers, got [1.82, 0.0]"),
+        # refused before rendering, not by the dataset check after it
+        ({"frame_period_ms": -200.0}, "frame_period_ms must be positive, got -200.0"),
+        ({"slice_gap_mm": 0.0}, "slice_gap_mm must be positive, got 0.0"),
     ],
     ids=["no-components", "zero-period", "negative-weight", "zero-weights", "negative-noise", "zero-radius",
-         "negative-signal-seed", "negative-spacing", "zero-spacing"],
+         "negative-signal-seed", "negative-spacing", "zero-spacing", "negative-frame-period", "zero-slice-gap"],
 )
 def test_unusable_phantom_spec_fails_validation(tmp_path, capsys, spec, message):
     (tmp_path / "spec.json").write_text(json.dumps(spec))

@@ -281,6 +281,16 @@ def test_non_finite_spacing_is_rejected(spacing):
     assert str(exc.value) == f"key 'in_plane_spacing_mm' must be two positive numbers, got {list(spacing)}"
 
 
+@pytest.mark.parametrize("key", ["frame_period_ms", "slice_gap_mm"])
+def test_nan_timing_and_gap_are_rejected(key, monkeypatch):
+    # a JSON spec cannot carry NaN; a spec built in Python can, and it is
+    # refused before a single frame is rendered
+    monkeypatch.setattr(phantom, "render_frame", None)
+    with pytest.raises(ValidationError) as exc:
+        generate_phantom(replay_spec(**{key: math.nan}), seed=0)
+    assert str(exc.value) == f"{key} must be positive, got nan"
+
+
 def test_split_width_counts_toward_the_margin():
     # The same vessel fits without the split and is rejected with it.
     base = dict(x=12.0, y=32.0, radius_px=2.0)

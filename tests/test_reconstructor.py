@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,11 @@ from resp4d.reconstructor import (
 from resp4d.tracker import FIXED, UPDATING, Roi, locate_in_navigator, track_reference
 
 from conftest import replay_spec, split_vessel_spec
+
+
+def _voxels(volume):
+    """Every timepoint's stack, as (n_timepoints, n_slices, H, W)."""
+    return np.stack([volume.stack(ti) for ti in range(len(volume.timepoints))])
 
 
 def _decisions(report):
@@ -50,7 +56,7 @@ def test_replay_phantom_reconstructs_fully(replay, method):
     assert volume.completeness.all()
     assert volume.timepoints == list(range(1, spec.reference_frames - 1))
     assert volume.slice_positions_mm == sorted(volume.slice_positions_mm)
-    assert volume.voxels.shape == (
+    assert _voxels(volume).shape == (
         spec.reference_frames - 2,
         spec.sequences,
         spec.frame_height,
@@ -72,7 +78,7 @@ def test_zero_threshold_rejects_everything(replay):
     volume, report = reconstruct(dataset, rois, ReconstructionConfig(threshold_px=0.0))
     assert report.reconstruction_rate == 0.0
     assert not volume.completeness.any()
-    assert np.all(volume.voxels == 0.0)
+    assert np.all(_voxels(volume) == 0.0)
     assert report.per_sequence_matches == {0: 0, 1: 0}
     assert set(report.missing) == set(range(1, spec.reference_frames - 1))
     assert all(len(v) == spec.sequences for v in report.missing.values())
@@ -104,6 +110,8 @@ def test_bins_are_consistent_with_completeness_and_voxels(replay):
     assert volume.completeness.shape == (len(volume.timepoints), n_slices)
     assert len(report.accepted) == n_slices
     for ti, i in enumerate(volume.timepoints):
+        stack = volume.stack(ti)
+        assert stack.shape == (n_slices,) + dataset.frame_shape
         for si, slice_mm in enumerate(volume.slice_positions_mm):
             (s,) = [s for s, mm in report.sequence_slice_mm.items() if mm == slice_mm]
             seq = dataset.interleaved[s]
@@ -113,9 +121,9 @@ def test_bins_are_consistent_with_completeness_and_voxels(replay):
             assert volume.completeness[ti, si] == bool(indices)
             if indices:
                 expected = average_bin([seq.frames[d].pixels for d in indices])
-                assert np.array_equal(volume.voxels[ti, si], expected)
+                assert np.array_equal(stack[si], expected)
             else:
-                assert np.all(volume.voxels[ti, si] == 0.0)
+                assert np.all(stack[si] == 0.0)
 
 
 def test_mean_aggregation_matches_scaled_sum_threshold(replay):
@@ -135,7 +143,7 @@ def test_reconstruction_is_deterministic(replay):
     _, dataset, _, rois = replay
     va, ra = reconstruct(dataset, rois, ReconstructionConfig())
     vb, rb = reconstruct(dataset, rois, ReconstructionConfig())
-    assert np.array_equal(va.voxels, vb.voxels)
+    assert np.array_equal(_voxels(va), _voxels(vb))
     assert np.array_equal(va.completeness, vb.completeness)
     assert _decisions(ra) == _decisions(rb)
 
@@ -219,7 +227,7 @@ def _assert_matches_per_call_path(dataset, rois, config, monkeypatch):
     for s, want_accepted in enumerate(want_report.accepted):
         assert np.array_equal(report.accepted[s], want_accepted)
         np.testing.assert_allclose(report.totals[s], want_report.totals[s], rtol=0, atol=1e-9)
-    assert np.array_equal(volume.voxels, want_volume.voxels)
+    assert np.array_equal(_voxels(volume), _voxels(want_volume))
 
 
 def test_localization_is_one_call_per_navigator(replay, monkeypatch):
@@ -325,7 +333,7 @@ def test_save_reconstruction_layout(tmp_path, replay):
 
     # the first stack holds the quantized voxels of the first timepoint
     raw = np.frombuffer((out / manifest["stacks"][0]).read_bytes(), dtype="<u2")
-    expected = np.rint(np.clip(volume.voxels[0], 0, 65535)).astype(np.uint16)
+    expected = np.rint(np.clip(volume.stack(0), 0, 65535)).astype(np.uint16)
     assert np.array_equal(raw.reshape(expected.shape), expected)
 
     report_obj = json.loads((out / "report.json").read_text())
@@ -353,6 +361,23 @@ def test_save_reconstruction_layout(tmp_path, replay):
     assert [int(r["matches"]) for r in corr] == [
         report.per_sequence_matches[s] for s in sorted(report.per_sequence_matches)
     ]
+
+
+@pytest.mark.parametrize("method", [UPDATING_METHOD, BASELINE_METHOD])
+def test_reconstruct_and_save_never_hold_the_whole_volume(tmp_path, split_vessel, method):
+    # stacks are averaged one timepoint at a time while they are saved, so
+    # the traced peak stays below even a uint16 copy of the float64 volume
+    _, dataset, _, rois = split_vessel
+    tracemalloc.start()
+    try:
+        volume, report = reconstruct(dataset, rois, ReconstructionConfig(method=method))
+        save_reconstruction(volume, report, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    volume_bytes = volume.completeness.size * np.prod(dataset.frame_shape) * 8
+    assert volume.completeness.shape == (64, 10) and volume_bytes > 39e6
+    assert peak < volume_bytes / 4
 
 
 def test_saved_directories_are_bit_identical(tmp_path, replay):

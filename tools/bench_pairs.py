@@ -12,8 +12,10 @@ sides alike.  ``--out`` holds one JSON entry per workload, and a
 run replaces only its own workload's entry.  An entry holds every run's result
 and per side the operations attempted and failed, then per side the median
 and quartiles of every metric, then for each end-to-end metric of the
-change's ``BENCHMARK.json`` the number of pairs the change won and whether
-its median beats the parent's by more than the parent's interquartile range.
+change's ``BENCHMARK.json`` the number of pairs the change won, whether
+its median beats the parent's by more than the parent's interquartile range,
+and whether it is worse than the parent's by more than the metric's
+``bound``, a share of the parent's median.
 If a run of run.py fails, its stderr is printed, the entry is written with
 the runs completed so far and ``"complete": false``, and the exit status is
 1.  Standard library only.
@@ -82,7 +84,8 @@ def main(argv=None) -> int:
     for metric in declared:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         gains = [sign * (p["metrics"][name] - c["metrics"][name]) for p, c in zip(by_side["parent"], by_side["change"])]
-        gain = sign * (summary["parent"][name]["median"] - summary["change"][name]["median"])
+        parent_median = summary["parent"][name]["median"]
+        gain = sign * (parent_median - summary["change"][name]["median"])
         wins[name] = {
             "better": metric["better"],
             "change_won": sum(g > 0 for g in gains),
@@ -90,6 +93,8 @@ def main(argv=None) -> int:
             "median_gain": gain,
             "parent_iqr": summary["parent"][name]["iqr"],
             "gain_exceeds_parent_iqr": gain > summary["parent"][name]["iqr"],
+            "bound": metric["bound"],
+            "worse_than_bound": -gain > metric["bound"] * abs(parent_median),
         }
     write_entry(args.out, {**report, **operations(runs), "complete": True, "summary": summary, "wins": wins})
     print(json.dumps(wins, indent=2))
