@@ -45,14 +45,6 @@ class Frame:
         if self.kind not in FRAME_KINDS:
             raise ValidationError(f"unknown frame kind {self.kind!r}")
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 def _check_uniform_dims(frames: list[Frame], label: str) -> None:
     shapes = {f.pixels.shape for f in frames}
@@ -312,6 +304,8 @@ def load_dataset(root: Path | str) -> Dataset:
     ref_names = meta["references"]
     if len(ref_names) != 2:
         raise ValidationError(f"dataset.json must name exactly 2 references, got {ref_names}")
+    if ref_names[0] == ref_names[1]:
+        raise DatasetIOError(f"{root / 'dataset.json'}: references name {ref_names[0]!r} twice")
     period = meta["frame_period_ms"]
     # every name is joined to the root, so it must stay a plain entry of it
     for name in meta["sequences"]:

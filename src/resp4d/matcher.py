@@ -23,12 +23,17 @@ of placements being the ``th`` image rows it covers times one banded
 ``(th * w, ow)`` matrix that holds every horizontal shift of the template;
 R > 1 templates are one matrix product of an im2col copy of the windows with
 the stacked ``(n, R)`` template matrix, taken in bands of placements.
+
+``match_templates`` is the one search: S images by R templates, each in its
+own region or over the whole frame, widening weak regional bests.
+``match_template`` is ``match_templates`` of one image and one template, and
+``placement_bounds`` row 0 of ``placement_boxes``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,28 +60,18 @@ _BAND_PLACEMENTS = 512
 
 @dataclass
 class Template:
-    """A float64 image patch remembered together with where it was cut.
-
-    ``anchor`` is the (x, y) position of the patch's top-left corner in the
-    source frame and may be fractional for interpolated cuts.
-    """
+    """A float64 image patch with the sums that both measures score it by."""
 
     pixels: np.ndarray
-    anchor: tuple[float, float] = (0.0, 0.0)
-    mean: float = field(init=False)
-    variance: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 2 or self.pixels.size == 0:
             raise ValueError(f"template must be a non-empty 2D array, got shape {self.pixels.shape}")
-        self.anchor = (float(self.anchor[0]), float(self.anchor[1]))
-        self.mean = float(self.pixels.mean())
-        self._zero_mean = self.pixels - self.mean
+        self._zero_mean = self.pixels - float(self.pixels.mean())
         self._sum_zero_mean = float(self._zero_mean.sum())
         self._energy_zero_mean = float((self._zero_mean * self._zero_mean).sum())
         self._energy_raw = float((self.pixels * self.pixels).sum())
-        self.variance = self._energy_zero_mean / self.pixels.size
         # (frame shape, measure) -> conjugate spectrum of the kernel zero-padded
         # to the frame, for whole-frame searches
         self._spectra: dict = {}
@@ -88,11 +83,6 @@ class Template:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the patch is constant (no structure for ``ccoeff_normed``)."""
-        return self.variance <= _VARIANCE_EPS
 
 
 @dataclass(frozen=True)
@@ -131,9 +121,13 @@ def _as_image(image, stack: bool = False, dtype=np.float64) -> np.ndarray:
 
 
 def template_degenerate(template: Template, measure: str) -> bool:
-    """Whether ``template`` carries no usable structure for ``measure``."""
+    """Whether ``template`` carries no usable structure for ``measure``.
+
+    For ``ccoeff_normed`` that is a constant patch, for ``ccorr_normed`` an
+    all-zero one.
+    """
     if measure == CCOEFF_NORMED:
-        return template.degenerate
+        return template._energy_zero_mean / template.pixels.size <= _VARIANCE_EPS
     return template._energy_raw <= _ENERGY_EPS
 
 
@@ -156,13 +150,13 @@ def cut_template(image, x: float, y: float, width: int, height: int) -> Template
     fx, fy = x - x0, y - y0
     p00 = img[y0 : y0 + height, x0 : x0 + width]
     if fx == 0.0 and fy == 0.0:
-        return Template(pixels=p00.copy(), anchor=(x, y))
+        return Template(pixels=p00.copy())
     p01 = img[y0 : y0 + height, x0 + 1 : x0 + 1 + width] if fx > 0.0 else p00
     p10 = img[y0 + 1 : y0 + 1 + height, x0 : x0 + width] if fy > 0.0 else p00
     p11 = img[y0 + 1 : y0 + 1 + height, x0 + 1 : x0 + 1 + width] if (fx > 0.0 and fy > 0.0) else p01
     top = (1.0 - fx) * p00 + fx * p01
     bottom = (1.0 - fx) * p10 + fx * p11
-    return Template(pixels=(1.0 - fy) * top + fy * bottom, anchor=(x, y))
+    return Template(pixels=(1.0 - fy) * top + fy * bottom)
 
 
 def placement_bounds(
@@ -170,21 +164,9 @@ def placement_bounds(
     template_shape: tuple[int, int],
     region: SearchRegion | None = None,
 ) -> tuple[int, int, int, int]:
-    """Inclusive placement bounds (x0, x1, y0, y1), clamped to the valid domain."""
-    ih, iw = image_shape
-    th, tw = template_shape
-    if th > ih or tw > iw:
-        raise ValueError(f"template {tw}x{th} larger than image {iw}x{ih}")
-    xmax, ymax = iw - tw, ih - th
-    if region is None:
-        return 0, xmax, 0, ymax
-    cx, cy = region.center
-    r = region.radius
-    x0 = min(max(math.ceil(cx - r), 0), xmax)
-    x1 = min(max(math.floor(cx + r), 0), xmax)
-    y0 = min(max(math.ceil(cy - r), 0), ymax)
-    y1 = min(max(math.floor(cy + r), 0), ymax)
-    return x0, x1, y0, y1
+    """Row 0 of ``placement_boxes`` for ``region``, or for the whole frame without one."""
+    centers, radius = (None, None) if region is None else (np.array([region.center]), region.radius)
+    return tuple(placement_boxes(image_shape, template_shape, centers, radius)[0].tolist())
 
 
 def placement_boxes(
@@ -193,17 +175,20 @@ def placement_boxes(
     centers: np.ndarray | None = None,
     radius: int | None = None,
 ) -> np.ndarray:
-    """``placement_bounds`` for R regions at once, shape ``(R, 4)``.
+    """Inclusive placement bounds (x0, x1, y0, y1) of R regions, shape ``(R, 4)``.
 
     Row ``r`` bounds the placements within ``radius`` of ``centers[r]``
-    (x, y); without centres or radius there is one whole-frame row.
+    (x, y), clamped to the valid domain; without centres or radius there is
+    one whole-frame row.
     """
-    full = placement_bounds(image_shape, template_shape)
+    (ih, iw), (th, tw) = image_shape, template_shape
+    if th > ih or tw > iw:
+        raise ValueError(f"template {tw}x{th} larger than image {iw}x{ih}")
+    xmax, ymax = iw - tw, ih - th
     if centers is None or radius is None:
-        return np.array([full])
+        return np.array([[0, xmax, 0, ymax]])
     corners = np.concatenate([np.ceil(centers - radius), np.floor(centers + radius)], axis=1)
-    top = (full[1], full[3]) * 2
-    return np.minimum(np.maximum(corners, 0), top).astype(np.intp)[:, [0, 2, 1, 3]]
+    return np.minimum(np.maximum(corners, 0), (xmax, ymax) * 2).astype(np.intp)[:, [0, 2, 1, 3]]
 
 
 def _window_sums(crop: np.ndarray, th: int, tw: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,29 +394,26 @@ def pick_peaks(response: np.ndarray, boxes: np.ndarray, score_cap: float | None 
 
 def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
                    region: SearchRegion | None = None, min_score: float = 0.5) -> MatchResult:
-    """Best subpixel placement of ``template`` in ``image``.
+    """Best subpixel placement of ``template`` in ``image``: ``match_templates`` of one image and one template.
 
     With a region, the search is restricted to it; if the regional best scores
     below ``min_score`` the search widens once to the full frame and the
     full-frame best is returned with ``widened`` set, whatever its score.
     """
-    img = _as_image(image)
-    box = np.array([placement_bounds(img.shape, template.pixels.shape, region)])
-    positions, scores = _best_in_boxes(img, [template], box, measure)
-    widened = scores < min_score if region is not None else np.zeros(1, dtype=bool)
-    _widen(img, [template], measure, positions, scores, widened)
-    x, y = positions[0].tolist()
-    return MatchResult(position=(x, y), score=float(scores[0]), widened=bool(widened[0]))
+    centers, radius = (None, None) if region is None else (np.array([[region.center]]), region.radius)
+    positions, scores, widened = match_templates([image], [template], measure, centers, radius, min_score)
+    x, y = positions[0, 0].tolist()
+    return MatchResult(position=(x, y), score=float(scores[0, 0]), widened=bool(widened[0, 0]))
 
 
 def match_templates(images, templates: list[Template], measure: str = CCOEFF_NORMED,
                     centers: np.ndarray | None = None, radius: int | None = None,
                     min_score: float = 0.5):
-    """``match_template`` for R same-shape templates in each of S same-shape images.
+    """Best subpixel placements of R same-shape templates in each of S same-shape images.
 
     Template ``r`` is searched in image ``s`` within ``radius`` of
     ``centers[s, r]`` (x, y); without centres or radius every template
-    searches the whole frame.  One template's regions in all S images are
+    searches the whole frame.  One template's regions in S > 1 images are
     scored as one stack.  Otherwise each image is searched on its own: all R
     templates are scored in one pass over the union of the image's regions.
     Each peak is taken from its own region, so borders behave as if the
@@ -449,25 +431,21 @@ def match_templates(images, templates: list[Template], measure: str = CCOEFF_NOR
         boxes = placement_boxes(*shapes, np.reshape(centers, (-1, 2)), radius).reshape(len(imgs), len(templates), 4)
     else:
         boxes = np.broadcast_to(placement_boxes(*shapes), (len(imgs), 1, 4))
-    if regional and len(templates) == 1:
+    if regional and len(templates) == 1 and len(imgs) > 1:
         positions, scores = _best_in_stack(imgs, templates[0], boxes[:, 0], measure)
     else:
         # one image at a time: the banded products round with the box's
-        # shape, and stacked unions or whole frames only raise peak memory
+        # shape, and stacked unions or whole frames only raise peak memory.
+        # One template in one image keeps the scalar peak picker, which
+        # costs about a tenth of pick_peaks for a single box
         found = [_best_in_boxes(img, templates, img_boxes, measure) for img, img_boxes in zip(imgs, boxes)]
         positions, scores = map(np.stack, zip(*found))
     widened = scores < min_score if regional else np.zeros(scores.shape, dtype=bool)
     for s in widened.any(axis=1).nonzero()[0]:
-        _widen(imgs[s], templates, measure, positions[s], scores[s], widened[s])
+        redo = widened[s].nonzero()[0]
+        full = placement_boxes(*shapes)
+        positions[s, redo], scores[s, redo] = _best_in_boxes(imgs[s], [templates[r] for r in redo], full, measure)
     return positions, scores, widened
-
-
-def _widen(img: np.ndarray, templates: list[Template], measure: str, positions, scores, widened) -> None:
-    """Search the templates flagged in ``widened`` again over the full frame, in place."""
-    redo = widened.nonzero()[0]
-    if len(redo):
-        full = np.array([placement_bounds(img.shape, templates[0].pixels.shape)])
-        positions[redo], scores[redo] = _best_in_boxes(img, [templates[r] for r in redo], full, measure)
 
 
 def _best_in_boxes(img: np.ndarray, templates: list[Template], boxes: np.ndarray, measure: str):

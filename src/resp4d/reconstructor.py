@@ -27,14 +27,13 @@ import numpy as np
 from .criterion import AGGREGATIONS, AGG_SUM, decide
 from .errors import ValidationError
 from .imgcore import Dataset, quantize_u16
-from .matcher import MEASURES, CCOEFF_NORMED
+from .matcher import MEASURES, CCOEFF_NORMED, Template
 from .tracker import (
     DEFAULT_MIN_SCORE,
     DEFAULT_SEARCH_RADIUS,
     FIXED,
     UPDATING,
     RoiSpec,
-    TemplateSet,
     TrackTrace,
     locate_in_navigator,
     track_reference,
@@ -119,7 +118,7 @@ def average_bin(frames) -> np.ndarray:
 
 def track_configured(
     dataset: Dataset, rois: RoiSpec, config: ReconstructionConfig
-) -> tuple[TrackTrace, list[TemplateSet]]:
+) -> tuple[TrackTrace, list[list[Template]]]:
     """Track ``config``'s reference sequence the way ``config.method`` does.
 
     The updating method tracks with template updating inside the search

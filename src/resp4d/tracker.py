@@ -16,10 +16,17 @@ Two modes:
     refined floating-point position, so the template appearance follows the
     anatomy while subpixel updates keep the anchor from drifting.
 
-The interleaved sequences are localized in lockstep: ``locate_in_navigator``
-takes navigator ordinal ``n`` of all S sequences at once and returns, for R
-template sets of V vessels, positions ``(S, R, V, 2)``, scores ``(S, R, V)``
-and widened flags ``(S, R, V)``.
+A template set is the list of one reference frame's templates, one per
+vessel.  The interleaved sequences are localized in lockstep:
+``locate_in_navigator`` takes navigator ordinal ``n`` of all S sequences at
+once and returns, for R template sets of V vessels, positions
+``(S, R, V, 2)``, scores ``(S, R, V)`` and widened flags ``(S, R, V)``.
+
+``track_reference`` makes one ``match_template`` call per (reference frame,
+vessel); ``match_template`` is ``matcher.match_templates`` of one image and
+one template.  The calls stay one per frame and vessel because the stage
+benchmark counts kernel work by hooking this module's ``match_template``,
+until it reads counters that the program records itself.
 """
 
 from __future__ import annotations
@@ -107,19 +114,10 @@ def rois_to_obj(rois: RoiSpec) -> list[dict]:
 
 
 @dataclass
-class TemplateSet:
-    """The templates cut from one reference frame, one per vessel."""
-
-    frame_index: int
-    templates: list[Template]
-
-
-@dataclass
 class TrackTrace:
     """Per-frame subpixel positions for every tracked vessel."""
 
     labels: list[str]
-    mode: str
     positions: np.ndarray  # (n_frames, n_vessels, 2) float64, (x, y)
     scores: np.ndarray  # (n_frames, n_vessels)
     widened: np.ndarray  # (n_frames, n_vessels) bool
@@ -128,36 +126,27 @@ class TrackTrace:
     def n_frames(self) -> int:
         return self.positions.shape[0]
 
-    def rows(self):
-        for v, label in enumerate(self.labels):
-            for i in range(self.n_frames):
-                yield (
-                    label,
-                    i,
-                    float(self.positions[i, v, 0]),
-                    float(self.positions[i, v, 1]),
-                    float(self.scores[i, v]),
-                    bool(self.widened[i, v]),
-                )
-
 
 def write_trace_csv(trace: TrackTrace, path: Path | str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vessel", "frame", "x", "y", "score", "widened"])
-        for label, i, x, y, score, widened in trace.rows():
-            writer.writerow([label, i, f"{x:.6f}", f"{y:.6f}", f"{score:.9f}", int(widened)])
+        for v, label in enumerate(trace.labels):
+            for i in range(trace.n_frames):
+                (x, y), score = trace.positions[i, v].tolist(), trace.scores[i, v]
+                writer.writerow([label, i, f"{x:.6f}", f"{y:.6f}", f"{score:.9f}", int(trace.widened[i, v])])
 
 
-def _initial_templates(frame: Frame, rois: RoiSpec, measure: str) -> list[Template]:
+def _cut_templates(frame: Frame, index: int, rois: RoiSpec, corners: np.ndarray, measure: str) -> list[Template]:
+    """Frame ``index``'s template set: each ROI's size cut at its corner in ``corners`` (V, 2)."""
     templates = []
-    for roi in rois:
+    for roi, (x, y) in zip(rois, corners.tolist()):
         try:
-            tpl = cut_template(frame.pixels, roi.x, roi.y, roi.width, roi.height)
+            tpl = cut_template(frame.pixels, x, y, roi.width, roi.height)
         except ValueError as exc:
             raise ValidationError(f"ROI {roi.label!r} does not fit the frame: {exc}") from exc
         if template_degenerate(tpl, measure):
-            raise TrackingError(f"vessel {roi.label!r} at frame 0: template is degenerate for {measure}")
+            raise TrackingError(f"vessel {roi.label!r} at frame {index}: template is degenerate for {measure}")
         templates.append(tpl)
     return templates
 
@@ -169,12 +158,13 @@ def track_reference(
     search_radius: int | None = DEFAULT_SEARCH_RADIUS,
     mode: str = UPDATING,
     min_score: float = DEFAULT_MIN_SCORE,
-) -> tuple[TrackTrace, list[TemplateSet]]:
+) -> tuple[TrackTrace, list[list[Template]]]:
     """Track every ROI through a reference sequence.
 
     Returns the trace plus the template sets produced along the way: a single
     frame-0 set in ``fixed`` mode, one set per frame in ``updating`` mode.
-    ``search_radius=None`` disables region restriction in updating mode.
+    ``search_radius=None`` disables region restriction in updating mode;
+    ``fixed`` mode always searches the full frame.
     """
     if mode not in MODES:
         raise ValueError(f"unknown tracking mode {mode!r}, expected one of {MODES}")
@@ -188,51 +178,30 @@ def track_reference(
     scores = np.zeros((n_frames, n_vessels))
     widened = np.zeros((n_frames, n_vessels), dtype=bool)
 
-    templates = _initial_templates(ref.frames[0], rois, measure)
-    sets = [TemplateSet(frame_index=0, templates=templates)]
-    for v, roi in enumerate(rois):
-        positions[0, v] = (roi.x, roi.y)
-        scores[0, v] = 1.0
-
+    positions[0] = [(roi.x, roi.y) for roi in rois]
+    scores[0] = 1.0
+    sets = [_cut_templates(ref.frames[0], 0, rois, positions[0], measure)]
+    radius = search_radius if mode == UPDATING else None
     for i in range(1, n_frames):
         frame = ref.frames[i]
-        current = sets[-1].templates if mode == UPDATING else sets[0].templates
-        new_templates = []
-        for v, tpl in enumerate(current):
-            if mode == UPDATING and search_radius is not None:
-                region = SearchRegion(center=tuple(positions[i - 1, v]), radius=search_radius)
-            else:
-                region = None
+        for v, tpl in enumerate(sets[-1]):
+            region = None if radius is None else SearchRegion(center=tuple(positions[i - 1, v]), radius=radius)
             res = match_template(frame.pixels, tpl, measure, region=region, min_score=min_score)
-            positions[i, v] = res.position
-            scores[i, v] = res.score
-            widened[i, v] = res.widened
-            if mode == UPDATING:
-                # each updating template searches one reference frame; the
-                # navigators batch it with the other sets, which reads no spectrum
-                tpl._spectra.clear()
-                fresh = cut_template(frame.pixels, res.position[0], res.position[1], tpl.width, tpl.height)
-                if template_degenerate(fresh, measure):
-                    raise TrackingError(
-                        f"vessel {rois[v].label!r} at frame {i}: updated template is degenerate for {measure}"
-                    )
-                new_templates.append(fresh)
+            positions[i, v], scores[i, v], widened[i, v] = res.position, res.score, res.widened
         if mode == UPDATING:
-            sets.append(TemplateSet(frame_index=i, templates=new_templates))
+            # each updating template searches one reference frame; the
+            # navigators batch it with the other sets, which reads no spectrum
+            for tpl in sets[-1]:
+                tpl._spectra.clear()
+            sets.append(_cut_templates(frame, i, rois, positions[i], measure))
 
-    trace = TrackTrace(
-        labels=[r.label for r in rois],
-        mode=mode,
-        positions=positions,
-        scores=scores,
-        widened=widened,
-    )
+    trace = TrackTrace(labels=[r.label for r in rois], positions=positions, scores=scores, widened=widened)
     return trace, sets
 
 
 def locate_in_navigator(
     navs: list[Frame],
-    template_sets: list[TemplateSet],
+    template_sets: list[list[Template]],
     priors: np.ndarray | None = None,
     measure: str = CCOEFF_NORMED,
     search_radius: int | None = DEFAULT_SEARCH_RADIUS,
@@ -251,8 +220,7 @@ def locate_in_navigator(
     serves all S x R chains.  Returns positions ``(S, R, V, 2)``, scores
     ``(S, R, V)`` and widened flags ``(S, R, V)``.
     """
-    sets = [s.templates for s in template_sets]
-    shape = (len(navs), len(sets), len(sets[0]))
+    shape = (len(navs), len(template_sets), len(template_sets[0]))
     if priors is not None:
         priors = np.asarray(priors, dtype=np.float64)
         if priors.shape != shape + (2,):
@@ -262,7 +230,7 @@ def locate_in_navigator(
     widened = np.zeros(shape, dtype=bool)
     for v in range(shape[2]):
         positions[:, :, v], scores[:, :, v], widened[:, :, v] = match_templates(
-            navs, [s[v] for s in sets], measure,
+            navs, [s[v] for s in template_sets], measure,
             None if priors is None else priors[:, :, v], search_radius, min_score,
         )
     return positions, scores, widened

@@ -279,6 +279,11 @@ def _set(key, value):
     return lambda meta: meta.__setitem__(key, value)
 
 
+def _reference_twice(meta):
+    meta["sequences"].remove("ref2")
+    meta["references"] = ["ref1", "ref1"]
+
+
 @pytest.mark.parametrize(
     "name, edit, message",
     [
@@ -291,6 +296,7 @@ def _set(key, value):
         ("dataset.json", _set("frame_shape", [48]), "key 'frame_shape' must be two positive integers"),
         ("dataset.json", _set("sequences", "ref1"), "key 'sequences' must be a list of strings"),
         ("dataset.json", _set("frame_period_ms", float("nan")), "key 'frame_period_ms' must be a positive number"),
+        ("dataset.json", _reference_twice, "references name 'ref1' twice"),
     ],
     ids=[
         "seq-no-kinds",
@@ -302,6 +308,7 @@ def _set(key, value):
         "dataset-short-shape",
         "dataset-sequences-string",
         "dataset-period-nan",
+        "dataset-reference-twice",
     ],
 )
 def test_malformed_metadata_fails_validation(workdir, tmp_path, capsys, name, edit, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,7 +272,6 @@ def test_cut_integer_is_exact_copy():
     img = _rng_image(8)
     tpl = cut_template(img, 5, 3, 7, 6)
     assert np.array_equal(tpl.pixels, img[3:9, 5:12])
-    assert tpl.anchor == (5.0, 3.0)
     assert (tpl.width, tpl.height) == (7, 6)
 
 
@@ -400,6 +401,12 @@ def test_placement_boxes_agree_with_placement_bounds(seed, radius):
     boxes = placement_boxes((40, 48), (7, 9), centers, radius)
     want = [placement_bounds((40, 48), (7, 9), SearchRegion(tuple(c), radius)) for c in centers]
     assert boxes.tolist() == [list(b) for b in want]
+
+    def clamped(c, top):
+        """Scalar reference: round the span inwards, then clamp it to placements 0..top."""
+        return [min(max(v, 0), top) for v in (math.ceil(c - radius), math.floor(c + radius))]
+
+    assert want == [tuple(clamped(cx, 48 - 9) + clamped(cy, 40 - 7)) for cx, cy in centers.tolist()]
     assert placement_boxes((40, 48), (7, 9)).tolist() == [list(placement_bounds((40, 48), (7, 9)))]
 
 

@@ -162,7 +162,7 @@ def _per_call_tables(dataset, rois, config):
             region = None
             if n > 0 and config.search_radius is not None:
                 region = SearchRegion(tuple(pos[r, n - 1, v]), config.search_radius)
-            res = match_template(navs[n].pixels, sets[r].templates[v], config.measure, region, config.min_score)
+            res = match_template(navs[n].pixels, sets[r][v], config.measure, region, config.min_score)
             pos[r, n, v], score[r, n, v], wid[r, n, v] = res.position, res.score, res.widened
         chains.append((pos, score, wid))
     tables = [np.hypot(*np.moveaxis(trace.positions[:, None] - pos, -1, 0)) for pos, _, _ in chains]

@@ -9,13 +9,12 @@ import pytest
 from resp4d import tracker
 from resp4d.errors import TrackingError, ValidationError
 from resp4d.imgcore import NAVIGATOR, Frame, ReferenceSequence
-from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, match_template
+from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, cut_template, match_template
 from resp4d.phantom import PhantomSpec, generate_phantom, render_frame, suggested_rois
 from resp4d.tracker import (
     FIXED,
     UPDATING,
     Roi,
-    TemplateSet,
     locate_in_navigator,
     rois_from_obj,
     rois_to_obj,
@@ -105,18 +104,20 @@ def test_updating_returns_one_template_set_per_frame(split_vessel):
     _, dataset, _, rois = split_vessel
     trace, sets = track_reference(dataset.reference_1, rois, mode=UPDATING)
     assert len(sets) == trace.n_frames
-    assert [s.frame_index for s in sets] == list(range(trace.n_frames))
-    for ts in sets:
-        assert len(ts.templates) == len(rois)
-        for tpl, roi in zip(ts.templates, rois):
+    for i, ts in enumerate(sets):
+        assert len(ts) == len(rois)
+        for tpl, roi, (x, y) in zip(ts, rois, trace.positions[i].tolist()):
             assert (tpl.width, tpl.height) == (roi.width, roi.height)
+            # set i is cut in frame i at the position tracked there
+            want = cut_template(dataset.reference_1.frames[i].pixels, x, y, roi.width, roi.height)
+            assert np.array_equal(tpl.pixels, want.pixels)
 
 
 def test_fixed_returns_only_the_initial_set():
     ref = _sequence([(24.0, 24.0)] * 5)
     _, sets = track_reference(ref, _ROI, mode=FIXED)
     assert len(sets) == 1
-    assert sets[0].frame_index == 0
+    assert np.array_equal(sets[0][0].pixels, ref.frames[0].pixels[18:31, 18:31])
 
 
 def test_only_fixed_templates_keep_their_whole_frame_spectrum():
@@ -124,9 +125,9 @@ def test_only_fixed_templates_keep_their_whole_frame_spectrum():
     dataset, truth = generate_phantom(spec, seed=0)
     rois = suggested_rois(spec, truth)
     _, updating = track_reference(dataset.reference_1, rois, search_radius=None, mode=UPDATING)
-    assert sum(a.nbytes for s in updating for t in s.templates for a in t._spectra.values()) == 0
+    assert sum(a.nbytes for s in updating for t in s for a in t._spectra.values()) == 0
     _, fixed = track_reference(dataset.reference_1, rois, mode=FIXED)
-    assert [len(t._spectra) for t in fixed[0].templates] == [1] * len(rois)
+    assert [len(t._spectra) for t in fixed[0]] == [1] * len(rois)
 
 
 def test_degenerate_initial_roi_is_rejected():
@@ -234,7 +235,7 @@ def test_locate_batches_chains_as_separate_calls_would(min_score, widened):
     assert flags[:, 0].tolist() == widened
     for r, tset in enumerate(sets):
         region = SearchRegion(tuple(priors[r, 0]), 3)
-        want = match_template(nav.pixels, tset.templates[0], region=region, min_score=min_score)
+        want = match_template(nav.pixels, tset[0], region=region, min_score=min_score)
         assert want.widened == flags[r, 0]
         np.testing.assert_allclose(positions[r, 0], want.position, rtol=0, atol=1e-9)
         assert scores[r, 0] == pytest.approx(want.score, abs=1e-9)
@@ -267,7 +268,7 @@ def test_lockstep_locate_matches_per_chain_calls(mode, measure, search_radius):
         out = np.empty((3, n_sets), dtype=object)
         for s, r in np.ndindex(3, n_sets):
             region = None if search_radius is None else SearchRegion(tuple(priors[s, r, 0]), search_radius)
-            out[s, r] = match_template(navs[s].pixels, sets[r].templates[0], measure, region, min_score)
+            out[s, r] = match_template(navs[s].pixels, sets[r][0], measure, region, min_score)
         return out
 
     regional = sorted(res.score for res in per_chain(-np.inf).flat)
