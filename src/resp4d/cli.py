@@ -165,9 +165,8 @@ def _cmd_sweep(args) -> int:
         thresholds = tuple(float(t) for t in args.thresholds.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad --thresholds value {args.thresholds!r}: {exc}") from exc
-    base = ReconstructionConfig()
     t0 = time.perf_counter()
-    cells = sweep(dataset, rois, thresholds=thresholds, base_config=base)
+    cells = sweep(dataset, rois, thresholds=thresholds)
     elapsed = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,7 +175,7 @@ def _cmd_sweep(args) -> int:
         print(f"ref{c.reference} {c.method:8s} {c.measure:13s} t={c.threshold_px:<4g} rate {c.rate:6.2f}%")
     print(f"sweep: {len(cells)} cells in {elapsed:.2f}s")
     if args.timing:
-        comparison = compare_timing(dataset, rois, base)
+        comparison = compare_timing(dataset, rois)
         write_timing_csv(comparison, out / "timing.csv")
         navigators = sum(len(seq.navigators()) for seq in dataset.interleaved)
         print(

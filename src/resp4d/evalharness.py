@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import statistics
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -46,7 +47,6 @@ def sweep(
     measures=DEFAULT_MEASURES,
     references=DEFAULT_REFERENCES,
     methods=DEFAULT_METHODS,
-    base_config: ReconstructionConfig | None = None,
 ) -> list[SweepCell]:
     """Reconstruction rate for every grid cell, without building voxels.
 
@@ -55,7 +55,7 @@ def sweep(
     per (reference, method, measure) and every threshold re-cuts them, so
     each cell equals a ``reconstruct`` run with that cell's config.
     """
-    base = base_config or ReconstructionConfig()
+    base = ReconstructionConfig()
     for threshold in thresholds:
         replace(base, threshold_px=threshold)  # reject a bad threshold before any tracking
     cells = []
@@ -121,12 +121,11 @@ def compare_timing(
 
     def run(cfg):
         times = []
-        last = None
         for _ in range(runs):
+            t0 = time.perf_counter()
             _, report = reconstruct(dataset, rois, cfg)
-            times.append(report.seconds)
-            last = report
-        return statistics.median(times), times, last
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times), times, report
 
     full_med, full_times, full_rep = run(full_config)
     region_med, region_times, region_rep = run(region_config)

@@ -76,14 +76,6 @@ class Template:
         # to the frame, for whole-frame searches
         self._spectra: dict = {}
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class SearchRegion:

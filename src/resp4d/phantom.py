@@ -328,15 +328,11 @@ def generate_phantom(spec: PhantomSpec, seed: int = 0) -> tuple[Dataset, GroundT
     return dataset, truth
 
 
-def suggested_rois(spec: PhantomSpec, truth: GroundTruth, half: int | None = None) -> RoiSpec:
+def suggested_rois(spec: PhantomSpec, truth: GroundTruth) -> RoiSpec:
     """Odd square ROIs centred on each vessel in frame 0 of reference 1."""
     rois = []
     for v, vessel in enumerate(spec.vessels):
-        hh = (
-            half
-            if half is not None
-            else max(5, math.ceil(2.4 * vessel.radius_px + 0.5 * vessel.split_at(1.0)))
-        )
+        hh = max(5, math.ceil(2.4 * vessel.radius_px + 0.5 * vessel.split_at(1.0)))
         cx, cy = truth.nav_positions["ref1"][0, v]
         x = int(round(cx)) - hh
         y = int(round(cy)) - hh

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -73,15 +72,25 @@ class ReconstructionConfig:
 
 @dataclass
 class Volume4D:
-    timepoints: list[int]
     slice_positions_mm: list[float]
-    completeness: np.ndarray  # (n_timepoints, n_slices) bool
     voxel_spacing_mm: tuple[float, float, float]  # (row, column, slice step)
-    frame_shape: tuple[int, int]
     # per slice in ascending position: the sequence's data frame pixels (column
     # k is ordinal 2k + 1) and its accepted (n_timepoints, n_data_frames) mask
     data_frames: list[list[np.ndarray]]
     accepted: list[np.ndarray]
+
+    @property
+    def completeness(self) -> np.ndarray:
+        """(n_timepoints, n_slices) bool: which bins hold at least one frame."""
+        return _filled_cells(self.accepted)
+
+    @property
+    def timepoints(self) -> list[int]:
+        return list(range(1, len(self.accepted[0]) + 1))
+
+    @property
+    def frame_shape(self) -> tuple[int, int]:
+        return self.data_frames[0][0].shape
 
     def stack(self, ti: int) -> np.ndarray:
         """(n_slices, H, W) float64 averages of timepoint index ``ti``; zero where a bin is empty."""
@@ -95,17 +104,37 @@ class Volume4D:
 
 @dataclass
 class ReconstructionReport:
-    reconstruction_rate: float  # percent of (eligible timepoint, slice) cells filled
-    per_sequence_matches: dict[int, int]
-    sequence_slice_mm: dict[int, float]  # acquisition index -> slice position
-    missing: dict[int, list[float]]  # timepoint -> slice positions left empty
-    widened_count: int
-    seconds: float
     config: ReconstructionConfig
+    sequence_slice_mm: dict[int, float]  # acquisition index -> slice position
     # one (n_timepoints, n_data_frames) array per acquisition index: row i - 1
     # is timepoint i, column k the data frame at ordinal 2k + 1 (criterion.decide)
     totals: list[np.ndarray]  # float64 summed displacement
     accepted: list[np.ndarray]  # bool
+    widened_count: int
+
+    @property
+    def reconstruction_rate(self) -> float:
+        """Percent of (eligible timepoint, slice) cells filled."""
+        filled = _filled_cells(self.accepted)
+        return 100.0 * filled.sum() / filled.size
+
+    @property
+    def per_sequence_matches(self) -> dict[int, int]:
+        return {s: int(a.sum()) for s, a in enumerate(self.accepted)}
+
+    @property
+    def missing(self) -> dict[int, list[float]]:
+        """Timepoint -> slice positions left empty, for timepoints with a gap."""
+        return {
+            i: sorted(self.sequence_slice_mm[s] for s in np.nonzero(~row)[0])
+            for i, row in enumerate(_filled_cells(self.accepted), start=1)
+            if not row.all()
+        }
+
+
+def _filled_cells(accepted: list[np.ndarray]) -> np.ndarray:
+    """(n_timepoints, len(accepted)) bool: which (timepoint, mask) cells accepted a frame."""
+    return np.stack([a.any(axis=1) for a in accepted], axis=1)
 
 
 def average_bin(frames) -> np.ndarray:
@@ -125,9 +154,8 @@ def track_configured(
     radius; the baseline matches its frame-0 templates over the full frame.
     """
     mode = UPDATING if config.method == UPDATING_METHOD else FIXED
-    radius = None if config.method == BASELINE_METHOD else config.search_radius
     ref = dataset.reference(config.reference)
-    return track_reference(ref, rois, config.measure, radius, mode, config.min_score)
+    return track_reference(ref, rois, config.measure, config.search_radius, mode, config.min_score)
 
 
 def displacement_tables(
@@ -171,23 +199,12 @@ def decide_all(
 ) -> ReconstructionReport:
     """Apply the acceptance rule to every sequence's table; nothing is averaged."""
     totals, accepted = zip(*(decide(t, config.threshold_px, config.aggregation) for t in tables))
-    filled = np.stack([a.any(axis=1) for a in accepted], axis=1)  # (timepoint, sequence)
-    slice_mm = {s: float(seq.data_slice_position_mm) for s, seq in enumerate(dataset.interleaved)}
-    missing = {
-        i: sorted(slice_mm[s] for s in np.nonzero(~row)[0])
-        for i, row in enumerate(filled, start=1)
-        if not row.all()
-    }
     return ReconstructionReport(
-        reconstruction_rate=100.0 * filled.sum() / filled.size,
-        per_sequence_matches={s: int(a.sum()) for s, a in enumerate(accepted)},
-        sequence_slice_mm=slice_mm,
-        missing=missing,
-        widened_count=widened,
-        seconds=0.0,
         config=config,
+        sequence_slice_mm={s: float(seq.data_slice_position_mm) for s, seq in enumerate(dataset.interleaved)},
         totals=list(totals),
         accepted=list(accepted),
+        widened_count=widened,
     )
 
 
@@ -196,27 +213,19 @@ def reconstruct(
 ) -> tuple[Volume4D, ReconstructionReport]:
     """Run the full pipeline on an in-memory dataset."""
     config = config or ReconstructionConfig()
-    t0 = time.perf_counter()
-    tables, widened = displacement_tables(dataset, rois, config)
-    report = decide_all(dataset, tables, widened, config)
-
+    report = decide_all(dataset, *displacement_tables(dataset, rois, config), config)
     seqs = dataset.interleaved
     order = sorted(range(len(seqs)), key=report.sequence_slice_mm.__getitem__)
-    completeness = np.stack([report.accepted[s].any(axis=1) for s in order], axis=1)
     volume = Volume4D(
-        timepoints=list(range(1, len(completeness) + 1)),
         slice_positions_mm=[report.sequence_slice_mm[s] for s in order],
-        completeness=completeness,
         voxel_spacing_mm=(
             dataset.in_plane_spacing_mm[0],
             dataset.in_plane_spacing_mm[1],
             dataset.slice_gap_mm,
         ),
-        frame_shape=dataset.frame_shape,
         data_frames=[[f.pixels for f in seqs[s].frames[1::2]] for s in order],
         accepted=[report.accepted[s] for s in order],
     )
-    report.seconds = time.perf_counter() - t0
     return volume, report
 
 
@@ -226,8 +235,9 @@ def reconstruct(
 def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir: Path | str) -> Path:
     """Write the output directory: manifest, per-timepoint stacks, report, audits.
 
-    Wall-clock timing is deliberately not serialized so identical runs produce
-    bit-identical directories; it stays available on the in-memory report.
+    Every summary is computed from the ``accepted`` masks as they are now, and
+    nothing time-dependent is written, so identical runs produce bit-identical
+    directories.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,8 +279,6 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
     with open(out / "acquisition_correlation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["acquisition_index", "slice_position_mm", "matches"])
-        for s in sorted(report.per_sequence_matches):
-            writer.writerow(
-                [s, f"{report.sequence_slice_mm[s]:.3f}", report.per_sequence_matches[s]]
-            )
+        for s, matches in sorted(report.per_sequence_matches.items()):
+            writer.writerow([s, f"{report.sequence_slice_mm[s]:.3f}", matches])
     return out

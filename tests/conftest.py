@@ -25,7 +25,6 @@ from resp4d.phantom import (
     generate_phantom,
     suggested_rois,
 )
-from resp4d.reconstructor import ReconstructionConfig
 
 
 def replay_spec(**overrides):
@@ -125,6 +124,6 @@ def modulated_sweep(split_vessel):
     """Full comparison grid on the modulated phantom, run once per session."""
     _, dataset, _, rois = split_vessel
     t0 = time.perf_counter()
-    cells = sweep(dataset, rois, base_config=ReconstructionConfig())
+    cells = sweep(dataset, rois)
     elapsed = time.perf_counter() - t0
     return cells, elapsed

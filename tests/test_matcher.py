@@ -113,7 +113,7 @@ def test_whole_frame_scores_match_brute_force(measure, shape, cut, spectral_call
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-9
     if measure == CCOEFF_NORMED and shape != (16, 21):
-        assert np.all(got[: 12 - tpl.height + 1] == 0.0)  # flat patches score exactly 0
+        assert np.all(got[: 12 - tpl.pixels.shape[0] + 1] == 0.0)  # flat patches score exactly 0
 
 
 @pytest.mark.parametrize("measure", MEASURES)
@@ -272,7 +272,7 @@ def test_cut_integer_is_exact_copy():
     img = _rng_image(8)
     tpl = cut_template(img, 5, 3, 7, 6)
     assert np.array_equal(tpl.pixels, img[3:9, 5:12])
-    assert (tpl.width, tpl.height) == (7, 6)
+    assert tpl.pixels.shape == (6, 7)
 
 
 def test_cut_fractional_is_bilinear():

@@ -10,7 +10,7 @@ import pytest
 
 from resp4d import reconstructor, tracker
 from resp4d.errors import ValidationError
-from resp4d.imgcore import DATA, NAVIGATOR, Dataset, Frame, InterleavedSequence, ReferenceSequence
+from resp4d.imgcore import DATA, NAVIGATOR, Dataset, Frame, InterleavedSequence, ReferenceSequence, quantize_u16
 from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, match_template
 from resp4d.phantom import BreathingSignal, VesselSpec, generate_phantom, oracle_matches, render_frame, suggested_rois
 from resp4d.reconstructor import (
@@ -399,6 +399,7 @@ def test_matches_csv_is_what_csv_writer_writes(tmp_path, replay):
     edges = [0.0000005, 2.5e-7, 1234.5678905, 0.0, 0.0, 0.0000015, 2.0000005, 1e-7, 0.1234565, 99999.9999995]
     report.totals[0].flat[: len(edges)] = edges
     report.totals[1].flat[-len(edges) :] = edges[::-1]
+    report.accepted[0][1:] = False  # sequence 0 now matches at timepoint 1 only
     report.accepted[0].flat[:4] = [True, False, True, False]
     assert {x for a in report.accepted for x in a.ravel().tolist()} == {True, False}
     save_reconstruction(volume, report, tmp_path)
@@ -412,3 +413,30 @@ def test_matches_csv_is_what_csv_writer_writes(tmp_path, replay):
                 for k, (total, ok) in enumerate(zip(row_totals, row_accepted)):
                     writer.writerow([i, s, 2 * k + 1, f"{total:.6f}", int(ok)])
     assert (tmp_path / "matches.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    # every summary and every stack follows the edited masks that matches.csv records
+    slice_mm = report.sequence_slice_mm
+    matches = {s: 0 for s in slice_mm}
+    bins = {}  # (timepoint, sequence) -> accepted data frame ordinals
+    with open(tmp_path / "matches.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["accepted"] == "1":
+                s, i = int(row["sequence_index"]), int(row["reference_timepoint"])
+                matches[s] += 1
+                bins.setdefault((i, s), []).append(int(row["data_frame_index"]))
+    manifest = json.loads((tmp_path / "volume4d.json").read_text())
+    saved = json.loads((tmp_path / "report.json").read_text())
+    order = sorted(slice_mm, key=slice_mm.__getitem__)
+    timepoints = manifest["timepoints"]
+    empty = {str(i): sorted(slice_mm[s] for s in order if (i, s) not in bins) for i in timepoints}
+    assert manifest["completeness"] == [[(i, s) in bins for s in order] for i in timepoints]
+    assert saved["per_sequence_matches"] == {str(s): n for s, n in matches.items()}
+    assert saved["missing"] == {i: mm for i, mm in empty.items() if mm}
+    assert saved["reconstruction_rate"] == 100.0 * len(bins) / (len(timepoints) * len(order))
+    with open(tmp_path / "acquisition_correlation.csv", newline="") as fh:
+        assert {int(r["acquisition_index"]): int(r["matches"]) for r in csv.DictReader(fh)} == matches
+    for i, name in zip(timepoints, manifest["stacks"]):
+        stack = np.frombuffer((tmp_path / name).read_bytes(), dtype="<u2").reshape(len(order), *dataset.frame_shape)
+        for si, s in enumerate(order):
+            frames = [dataset.interleaved[s].frames[d].pixels for d in bins.get((i, s), [])]
+            assert np.array_equal(stack[si], quantize_u16(average_bin(frames)) if frames else np.zeros_like(stack[si]))

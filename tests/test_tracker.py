@@ -107,7 +107,7 @@ def test_updating_returns_one_template_set_per_frame(split_vessel):
     for i, ts in enumerate(sets):
         assert len(ts) == len(rois)
         for tpl, roi, (x, y) in zip(ts, rois, trace.positions[i].tolist()):
-            assert (tpl.width, tpl.height) == (roi.width, roi.height)
+            assert tpl.pixels.shape == (roi.height, roi.width)
             # set i is cut in frame i at the position tracked there
             want = cut_template(dataset.reference_1.frames[i].pixels, x, y, roi.width, roi.height)
             assert np.array_equal(tpl.pixels, want.pixels)
