@@ -7,7 +7,6 @@ failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -16,7 +15,7 @@ from . import phantom as phantom_mod
 from .criterion import AGGREGATIONS
 from .errors import DatasetIOError, ProcessingError, ValidationError
 from .evalharness import compare_timing, sweep, write_rates_csv, write_timing_csv
-from .imgcore import load_dataset, write_dataset
+from .imgcore import load_dataset, read_json, write_dataset, write_json
 from .matcher import CCOEFF_NORMED, CCORR_NORMED
 from .reconstructor import (
     METHODS,
@@ -89,16 +88,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_rois(path: str):
-    try:
-        obj = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise DatasetIOError(f"missing file: {path}") from exc
-    except ValueError as exc:  # bad JSON, or bytes that are not text
-        raise ValidationError(f"unparseable ROI JSON in {path}: {exc}") from exc
-    return rois_from_obj(obj)
-
-
 def _cmd_phantom(args) -> int:
     spec = phantom_mod.load_spec(args.spec) if args.spec else phantom_mod.PhantomSpec()
     dataset, truth = phantom_mod.generate_phantom(spec, seed=args.seed)
@@ -107,9 +96,7 @@ def _cmd_phantom(args) -> int:
     phantom_mod.write_ground_truth_csv(truth, out / "ground_truth.csv")
     phantom_mod.save_spec(spec, out / "phantom_spec.json")
     rois = phantom_mod.suggested_rois(spec, truth)
-    (out / "rois.json").write_text(
-        json.dumps(rois_to_obj(rois), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "rois.json", rois_to_obj(rois))
     print(f"wrote phantom dataset to {out} ({len(dataset.interleaved)} interleaved sequences)")
     return EXIT_OK
 
@@ -137,7 +124,7 @@ def _config_from_args(args) -> ReconstructionConfig:
 def _cmd_track(args) -> int:
     config = _config_from_args(args)
     dataset = load_dataset(args.dataset)
-    trace, _ = track_configured(dataset, _load_rois(args.rois), config)
+    trace, _ = track_configured(dataset, read_json(args.rois, rois_from_obj), config)
     write_trace_csv(trace, args.out)
     print(f"wrote {trace.n_frames} frames x {len(trace.labels)} vessels to {args.out}")
     return EXIT_OK
@@ -146,7 +133,7 @@ def _cmd_track(args) -> int:
 def _cmd_reconstruct(args) -> int:
     config = _config_from_args(args)
     dataset = load_dataset(args.dataset)
-    rois = _load_rois(args.rois)
+    rois = read_json(args.rois, rois_from_obj)
     t0 = time.perf_counter()  # the stacks are averaged while they are saved
     volume, report = reconstruct(dataset, rois, config)
     save_reconstruction(volume, report, args.out)
@@ -160,7 +147,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dataset = load_dataset(args.dataset)
-    rois = _load_rois(args.rois)
+    rois = read_json(args.rois, rois_from_obj)
     try:
         thresholds = tuple(float(t) for t in args.thresholds.split(","))
     except ValueError as exc:

@@ -92,14 +92,23 @@ def write_rates_csv(cells: list[SweepCell], path: Path | str) -> None:
 
 @dataclass
 class TimingComparison:
-    full_seconds: float  # median over runs
-    region_seconds: float
-    speedup: float
     decisions_identical: bool
     widened_region: int
     widened_full: int  # 0 by construction: a full-frame search has nothing to widen to
-    full_runs: list[float]
+    full_runs: list[float]  # seconds per run
     region_runs: list[float]
+
+    @property
+    def full_seconds(self) -> float:
+        return statistics.median(self.full_runs)
+
+    @property
+    def region_seconds(self) -> float:
+        return statistics.median(self.region_runs)
+
+    @property
+    def speedup(self) -> float:
+        return self.full_seconds / self.region_seconds
 
 
 def compare_timing(
@@ -115,9 +124,8 @@ def compare_timing(
     repeats.  Decisions are compared so callers can confirm the region
     restriction changed nothing but speed.
     """
-    base = config or ReconstructionConfig()
-    region_config = base
-    full_config = replace(base, search_radius=None)
+    region_config = config or ReconstructionConfig()
+    full_config = replace(region_config, search_radius=None)
 
     def run(cfg):
         times = []
@@ -125,16 +133,13 @@ def compare_timing(
             t0 = time.perf_counter()
             _, report = reconstruct(dataset, rois, cfg)
             times.append(time.perf_counter() - t0)
-        return statistics.median(times), times, report
+        return times, report
 
-    full_med, full_times, full_rep = run(full_config)
-    region_med, region_times, region_rep = run(region_config)
+    full_times, full_rep = run(full_config)
+    region_times, region_rep = run(region_config)
 
     identical = all(map(np.array_equal, full_rep.accepted, region_rep.accepted))
     return TimingComparison(
-        full_seconds=full_med,
-        region_seconds=region_med,
-        speedup=full_med / region_med,
         decisions_identical=identical,
         widened_region=region_rep.widened_count,
         widened_full=full_rep.widened_count,

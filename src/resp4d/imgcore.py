@@ -52,6 +52,14 @@ def _check_uniform_dims(frames: list[Frame], label: str) -> None:
         raise ValidationError(f"{label}: mixed frame dimensions {sorted(shapes)}")
 
 
+def _slice_position(frames: list[Frame], label: str) -> float:
+    """The one slice position all ``frames`` share."""
+    positions = {f.slice_position_mm for f in frames}
+    if len(positions) > 1:
+        raise ValidationError(f"{label} at mixed slice positions {sorted(positions)}")
+    return positions.pop()
+
+
 def _check_increasing_timestamps(frames: list[Frame], label: str) -> None:
     ts = [f.timestamp_ms for f in frames]
     for i in range(1, len(ts)):
@@ -77,9 +85,7 @@ class ReferenceSequence:
         for i, f in enumerate(self.frames):
             if f.kind != NAVIGATOR:
                 raise ValidationError(f"reference sequence: frame {i} is {f.kind!r}, expected navigator")
-        positions = {f.slice_position_mm for f in self.frames}
-        if len(positions) > 1:
-            raise ValidationError(f"reference sequence: mixed slice positions {sorted(positions)}")
+        _slice_position(self.frames, "reference sequence: frames")
 
 
 @dataclass
@@ -88,14 +94,14 @@ class InterleavedSequence:
 
     Navigators sit at even ordinals, data frames at odd ordinals, so a valid
     sequence has odd length and every data frame is enclosed by two navigators.
+    All data frames share one slice position, ``data_slice_position_mm``.
     """
 
     frames: list[Frame]
-    data_slice_position_mm: float
-    sequence_index: int
+    data_slice_position_mm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        label = f"interleaved sequence {self.sequence_index}"
+        label = "interleaved sequence"
         if len(self.frames) < 3:
             raise ValidationError(f"{label}: needs at least nav/data/nav, got {len(self.frames)} frames")
         if len(self.frames) % 2 == 0:
@@ -106,15 +112,8 @@ class InterleavedSequence:
             expected = NAVIGATOR if i % 2 == 0 else DATA
             if f.kind != expected:
                 raise ValidationError(f"{label}: frame {i} is {f.kind!r}, expected {expected}")
-        nav_positions = {f.slice_position_mm for f in self.frames[0::2]}
-        if len(nav_positions) > 1:
-            raise ValidationError(f"{label}: navigator frames at mixed slice positions {sorted(nav_positions)}")
-        for i, f in enumerate(self.frames):
-            if f.kind == DATA and f.slice_position_mm != self.data_slice_position_mm:
-                raise ValidationError(
-                    f"{label}: data frame {i} at {f.slice_position_mm} mm, "
-                    f"expected {self.data_slice_position_mm} mm"
-                )
+        _slice_position(self.frames[0::2], f"{label}: navigator frames")
+        self.data_slice_position_mm = _slice_position(self.frames[1::2], f"{label}: data frames")
 
     def navigators(self) -> list[Frame]:
         return self.frames[0::2]
@@ -171,8 +170,28 @@ def quantize_u16(values: np.ndarray) -> np.ndarray:
 # on-disk layout
 
 
-def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def read_json(path: Path | str, parse):
+    """Return ``parse`` of the JSON file at ``path``; every error names the file.
+
+    An error ``parse`` raises keeps its class and gains the path as a prefix.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        # an integer too large for a double reads as infinity, which every number check refuses
+        obj = json.loads(text, parse_int=lambda s: int(s) if math.isfinite(float(s)) else float(s))
+    except FileNotFoundError as exc:
+        raise DatasetIOError(f"missing file: {path}") from exc
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise ValidationError(f"unparseable JSON in {path}: {exc}") from exc
+    try:
+        return parse(obj)
+    except (ValidationError, DatasetIOError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def write_json(path: Path | str, obj) -> None:
+    """Write ``obj`` in the one JSON layout of every output: sorted keys, indent 2, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _is_number(value) -> bool:
@@ -194,37 +213,59 @@ def _list_of(check, length: int | None = None):
     return is_list
 
 
+def _check_keys(meta, schema: dict) -> dict:
+    """Check ``meta`` is an object holding every key of ``schema``, well typed."""
+    if not isinstance(meta, dict):
+        raise ValidationError(f"expected a JSON object, got {type(meta).__name__}")
+    for key, (check, expected) in schema.items():
+        if key not in meta:
+            raise ValidationError(f"missing key {key!r}")
+        if not check(meta[key]):
+            raise ValidationError(f"key {key!r} must be {expected}, got {meta[key]!r}")
+    return meta
+
+
 _SEQUENCE_KEYS = {
     "frame_count": (_is_count, "a non-negative integer"),
     "kinds": (_list_of(_is_text), "a list of strings"),
     "timestamps_ms": (_list_of(_is_number), "a list of finite numbers"),
     "slice_positions_mm": (_list_of(_is_number), "a list of finite numbers"),
 }
+# seq.json's lists of one entry per frame, in the order of Frame's fields after pixels
+_PER_FRAME_KEYS = ("kinds", "timestamps_ms", "slice_positions_mm")
 _DATASET_KEYS = {
     "frame_shape": (_list_of(lambda v: _is_count(v) and v > 0, 2), "two positive integers"),
     "in_plane_spacing_mm": (_list_of(lambda v: _is_number(v) and v > 0, 2), "two positive numbers"),
-    "slice_gap_mm": (_is_number, "a finite number"),
+    "slice_gap_mm": (lambda v: _is_number(v) and v > 0, "a positive number"),
     "frame_period_ms": (lambda v: _is_number(v) and v > 0, "a positive number"),
     "sequences": (_list_of(_is_text), "a list of strings"),
     "references": (_list_of(_is_text), "a list of strings"),
 }
 
 
-def _load_meta(path: Path, schema: dict) -> dict:
-    """Parse a metadata file and check every key of ``schema`` is present and well typed."""
-    if not path.is_file():
-        raise DatasetIOError(f"missing file: {path}")
-    try:
-        meta = json.loads(path.read_text())
-    except ValueError as exc:  # bad JSON, or bytes that are not text
-        raise DatasetIOError(f"unparseable JSON in {path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise DatasetIOError(f"{path}: expected a JSON object, got {type(meta).__name__}")
-    for key, (check, expected) in schema.items():
-        if key not in meta:
-            raise DatasetIOError(f"{path}: missing key {key!r}")
-        if not check(meta[key]):
-            raise DatasetIOError(f"{path}: key {key!r} must be {expected}, got {meta[key]!r}")
+def _sequence_meta(obj) -> dict:
+    meta = _check_keys(obj, _SEQUENCE_KEYS)
+    count = meta["frame_count"]
+    for key in _PER_FRAME_KEYS:
+        if len(meta[key]) != count:
+            raise ValidationError(f"{key} has {len(meta[key])} entries, expected {count}")
+    return meta
+
+
+def _dataset_meta(obj) -> dict:
+    meta = _check_keys(obj, _DATASET_KEYS)
+    names, refs = meta["sequences"], meta["references"]
+    if len(refs) != 2:
+        raise ValidationError(f"must name exactly 2 references, got {refs}")
+    if refs[0] == refs[1]:
+        raise ValidationError(f"references name {refs[0]!r} twice")
+    # every name is joined to the root, so it must stay a plain entry of it
+    for name in names:
+        if name in ("", ".", "..") or Path(name).name != name or names.count(name) > 1:
+            raise ValidationError(f"sequence {name!r} is not a plain, unique directory name")
+    missing = [n for n in refs if n not in names]
+    if missing:
+        raise ValidationError(f"reference sequences {missing} not present in sequence list")
     return meta
 
 
@@ -236,37 +277,29 @@ def _write_sequence(dirpath: Path, frames: list[Frame]) -> None:
         "timestamps_ms": [f.timestamp_ms for f in frames],
         "slice_positions_mm": [f.slice_position_mm for f in frames],
     }
-    _dump_json(dirpath / "seq.json", meta)
+    write_json(dirpath / "seq.json", meta)
     stack = np.stack([f.pixels for f in frames]).astype("<u2")
     (dirpath / "frames.u16le").write_bytes(stack.tobytes())
 
 
-def _read_sequence(dirpath: Path, frame_shape: tuple[int, int]) -> list[Frame]:
-    meta = _load_meta(dirpath / "seq.json", _SEQUENCE_KEYS)
-    count = meta["frame_count"]
-    for key in ("kinds", "timestamps_ms", "slice_positions_mm"):
-        if len(meta[key]) != count:
-            raise ValidationError(f"{dirpath / 'seq.json'}: {key} has {len(meta[key])} entries, expected {count}")
+def _read_sequence(dirpath: Path, frame_shape: tuple[int, int], make):
+    """``make`` applied to the frames stored in ``dirpath``; every error names a file or ``dirpath``."""
+    meta = read_json(dirpath / "seq.json", _sequence_meta)
     stack_path = dirpath / "frames.u16le"
     if not stack_path.is_file():
         raise DatasetIOError(f"missing file: {stack_path}")
     raw = stack_path.read_bytes()
-    h, w = frame_shape
+    count, (h, w) = meta["frame_count"], frame_shape
     expected = count * h * w * 2
     if len(raw) != expected:
         raise DatasetIOError(
             f"truncated or oversized frame stack {stack_path}: {len(raw)} bytes, expected {expected}"
         )
     stack = np.frombuffer(raw, dtype="<u2").reshape(count, h, w)
-    return [
-        Frame(
-            pixels=np.ascontiguousarray(stack[i]),
-            kind=meta["kinds"][i],
-            timestamp_ms=meta["timestamps_ms"][i],
-            slice_position_mm=meta["slice_positions_mm"][i],
-        )
-        for i in range(count)
-    ]
+    try:
+        return make(list(map(Frame, stack, *(meta[key] for key in _PER_FRAME_KEYS))))
+    except ValidationError as exc:
+        raise ValidationError(f"{dirpath}: {exc}") from exc
 
 
 def write_dataset(dataset: Dataset, root: Path | str) -> Path:
@@ -275,8 +308,7 @@ def write_dataset(dataset: Dataset, root: Path | str) -> Path:
     root.mkdir(parents=True, exist_ok=True)
 
     named: list[tuple[str, list[Frame]]] = [("ref1", dataset.reference_1.frames)]
-    for seq in dataset.interleaved:
-        named.append((f"il{seq.sequence_index:03d}", seq.frames))
+    named += [(f"il{s:03d}", seq.frames) for s, seq in enumerate(dataset.interleaved)]
     named.append(("ref2", dataset.reference_2.frames))
     # acquisition order = order of first exposure
     named.sort(key=lambda item: item[1][0].timestamp_ms)
@@ -290,53 +322,31 @@ def write_dataset(dataset: Dataset, root: Path | str) -> Path:
         "sequences": [name for name, _ in named],
         "references": ["ref1", "ref2"],
     }
-    _dump_json(root / "dataset.json", meta)
+    write_json(root / "dataset.json", meta)
     for name, frames in named:
         _write_sequence(root / name, frames)
     return root
 
 
 def load_dataset(root: Path | str) -> Dataset:
-    """Load and validate a dataset directory written by :func:`write_dataset`."""
+    """Load and validate a dataset directory; every error names its file or directory."""
     root = Path(root)
-    meta = _load_meta(root / "dataset.json", _DATASET_KEYS)
-    frame_shape = tuple(meta["frame_shape"])
-    ref_names = meta["references"]
-    if len(ref_names) != 2:
-        raise ValidationError(f"dataset.json must name exactly 2 references, got {ref_names}")
-    if ref_names[0] == ref_names[1]:
-        raise DatasetIOError(f"{root / 'dataset.json'}: references name {ref_names[0]!r} twice")
-    period = meta["frame_period_ms"]
-    # every name is joined to the root, so it must stay a plain entry of it
-    for name in meta["sequences"]:
-        if name in ("", ".", "..") or Path(name).name != name or meta["sequences"].count(name) > 1:
-            raise DatasetIOError(f"{root / 'dataset.json'}: sequence {name!r} is not a plain, unique directory name")
-
+    meta = read_json(root / "dataset.json", _dataset_meta)
+    ref_names, shape, period = meta["references"], tuple(meta["frame_shape"]), meta["frame_period_ms"]
     references: dict[str, ReferenceSequence] = {}
     interleaved: list[InterleavedSequence] = []
     for name in meta["sequences"]:
-        frames = _read_sequence(root / name, frame_shape)
         if name in ref_names:
-            references[name] = ReferenceSequence(frames=frames, frame_period_ms=period)
+            references[name] = _read_sequence(root / name, shape, lambda frames: ReferenceSequence(frames, period))
         else:
-            data_positions = {f.slice_position_mm for f in frames if f.kind == DATA}
-            if len(data_positions) != 1:
-                raise ValidationError(f"sequence {name}: expected one data slice position, got {sorted(data_positions)}")
-            interleaved.append(
-                InterleavedSequence(
-                    frames=frames,
-                    data_slice_position_mm=data_positions.pop(),
-                    sequence_index=len(interleaved),
-                )
-            )
-    missing = [n for n in ref_names if n not in references]
-    if missing:
-        raise ValidationError(f"reference sequences {missing} not present in sequence list")
-
-    return Dataset(
-        reference_1=references[ref_names[0]],
-        reference_2=references[ref_names[1]],
-        interleaved=interleaved,
-        in_plane_spacing_mm=tuple(meta["in_plane_spacing_mm"]),
-        slice_gap_mm=meta["slice_gap_mm"],
-    )
+            interleaved.append(_read_sequence(root / name, shape, InterleavedSequence))
+    try:
+        return Dataset(
+            reference_1=references[ref_names[0]],
+            reference_2=references[ref_names[1]],
+            interleaved=interleaved,
+            in_plane_spacing_mm=tuple(meta["in_plane_spacing_mm"]),
+            slice_gap_mm=meta["slice_gap_mm"],
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{root}: {exc}") from exc

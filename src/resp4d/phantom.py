@@ -20,7 +20,6 @@ the tracking pipeline.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DatasetIOError, ValidationError
+from .errors import ValidationError
 from .imgcore import (
     DATA,
     NAVIGATOR,
@@ -37,6 +36,8 @@ from .imgcore import (
     InterleavedSequence,
     ReferenceSequence,
     quantize_u16,
+    read_json,
+    write_json,
 )
 from .tracker import Roi, RoiSpec
 
@@ -304,18 +305,10 @@ def generate_phantom(spec: PhantomSpec, seed: int = 0) -> tuple[Dataset, GroundT
         nav_positions[name] = np.asarray(pos_rows, dtype=np.float64)
         nav_states[name] = np.asarray(state_rows, dtype=np.float64)
 
-    interleaved = [
-        InterleavedSequence(
-            frames=sequences[f"il{s:03d}"],
-            data_slice_position_mm=spec.first_data_slice_mm + s * spec.slice_gap_mm,
-            sequence_index=s,
-        )
-        for s in range(spec.sequences)
-    ]
     dataset = Dataset(
         reference_1=ReferenceSequence(frames=sequences["ref1"], frame_period_ms=period),
         reference_2=ReferenceSequence(frames=sequences["ref2"], frame_period_ms=period),
-        interleaved=interleaved,
+        interleaved=[InterleavedSequence(frames=sequences[f"il{s:03d}"]) for s in range(spec.sequences)],
         in_plane_spacing_mm=spec.in_plane_spacing_mm,
         slice_gap_mm=spec.slice_gap_mm,
     )
@@ -456,15 +449,8 @@ def spec_from_obj(obj) -> PhantomSpec:
 
 
 def load_spec(path: Path | str) -> PhantomSpec:
-    try:
-        return spec_from_obj(json.loads(Path(path).read_text()))
-    except FileNotFoundError as exc:
-        raise DatasetIOError(f"missing file: {path}") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or bytes that are not text
-        raise ValidationError(f"unparseable JSON in {path}: {exc}") from exc
+    return read_json(path, spec_from_obj)
 
 
 def save_spec(spec: PhantomSpec, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(spec_to_obj(spec), indent=2, sort_keys=True) + "\n")
+    write_json(path, spec_to_obj(spec))

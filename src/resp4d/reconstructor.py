@@ -16,7 +16,6 @@ the baseline uses the frame-0 set everywhere.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 
 from .criterion import AGGREGATIONS, AGG_SUM, decide
 from .errors import ValidationError
-from .imgcore import Dataset, quantize_u16
+from .imgcore import Dataset, quantize_u16, write_json
 from .matcher import MEASURES, CCOEFF_NORMED, Template
 from .tracker import (
     DEFAULT_MIN_SCORE,
@@ -257,7 +256,7 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
         "stacks": stack_names,
         "config": asdict(report.config),
     }
-    (out / "volume4d.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out / "volume4d.json", manifest)
 
     report_obj = {
         "reconstruction_rate": report.reconstruction_rate,
@@ -266,7 +265,7 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
         "widened_count": report.widened_count,
         "config": asdict(report.config),
     }
-    (out / "report.json").write_text(json.dumps(report_obj, indent=2, sort_keys=True) + "\n")
+    write_json(out / "report.json", report_obj)
 
     # one formatting pass per sequence, in csv.writer's layout and line ends
     with open(out / "matches.csv", "w", newline="") as fh:

@@ -1,11 +1,16 @@
 """Command-line behaviour, exercised in-process through ``main(argv)``."""
 
+import contextlib
 import csv
+import io
 import json
 import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resp4d.cli import main
 from resp4d.phantom import VesselSpec, save_spec
@@ -256,7 +261,7 @@ def test_unparseable_rois_fail_validation(workdir, capsys):
         ]
     )
     assert code == 1
-    assert "unparseable ROI JSON" in capsys.readouterr().err
+    assert f"unparseable JSON in {bad}" in capsys.readouterr().err
 
 
 def test_truncated_frame_stack_fails_validation(workdir, tmp_path, capsys):
@@ -296,6 +301,9 @@ def _reference_twice(meta):
         ("dataset.json", _set("frame_shape", [48]), "key 'frame_shape' must be two positive integers"),
         ("dataset.json", _set("sequences", "ref1"), "key 'sequences' must be a list of strings"),
         ("dataset.json", _set("frame_period_ms", float("nan")), "key 'frame_period_ms' must be a positive number"),
+        ("dataset.json", _set("slice_gap_mm", -4.0), "key 'slice_gap_mm' must be a positive number, got -4.0"),
+        ("dataset.json", _set("slice_gap_mm", 0), "key 'slice_gap_mm' must be a positive number, got 0"),
+        ("dataset.json", _set("slice_gap_mm", 10**400), "key 'slice_gap_mm' must be a positive number, got inf"),
         ("dataset.json", _reference_twice, "references name 'ref1' twice"),
     ],
     ids=[
@@ -308,6 +316,9 @@ def _reference_twice(meta):
         "dataset-short-shape",
         "dataset-sequences-string",
         "dataset-period-nan",
+        "dataset-gap-negative",
+        "dataset-gap-zero",
+        "dataset-gap-huge",
         "dataset-reference-twice",
     ],
 )
@@ -322,6 +333,23 @@ def test_malformed_metadata_fails_validation(workdir, tmp_path, capsys, name, ed
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert str(broken / name) in err and message in err
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("bogus", "unknown frame kind 'bogus'"), ("data", "frame 2 is 'data', expected navigator")],
+    ids=["unknown", "navigator-as-data"],
+)
+def test_frame_kind_errors_name_the_sequence_directory(workdir, tmp_path, capsys, kind, message):
+    _, dataset_dir = workdir
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset_dir, broken)
+    meta = json.loads((broken / "il000" / "seq.json").read_text())
+    meta["kinds"][2] = kind
+    (broken / "il000" / "seq.json").write_text(json.dumps(meta))
+    assert main(["validate", "--dataset", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken / 'il000'}: ") and err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize(
@@ -391,8 +419,10 @@ def test_undecodable_json_fails_validation(workdir, tmp_path, capsys, name):
         (_set("x", "18"), "bad ROI entry 0: key 'x' must be an integer, got '18'"),
         (_set("label", 7), "bad ROI entry 0: key 'label' must be a string, got 7"),
         (_drop("h"), "bad ROI entry 0: missing key 'h'"),
+        # no double holds it, so it reads as infinity rather than overflow later
+        (_set("y", 10**400), "bad ROI entry 0: key 'y' must be an integer, got inf"),
     ],
-    ids=["x-infinity", "x-fraction", "w-bool", "x-string", "label-number", "no-h"],
+    ids=["x-infinity", "x-fraction", "w-bool", "x-string", "label-number", "no-h", "y-huge"],
 )
 def test_roi_fields_must_be_json_integers(workdir, tmp_path, capsys, edit, message):
     _, dataset_dir = workdir
@@ -400,7 +430,7 @@ def test_roi_fields_must_be_json_integers(workdir, tmp_path, capsys, edit, messa
     edit(rois[0])
     path = tmp_path / "rois.json"
     path.write_text(json.dumps(rois))
-    assert message in _reconstruct_fails(dataset_dir, path, tmp_path / "rec", capsys)
+    assert f"{path}: {message}" in _reconstruct_fails(dataset_dir, path, tmp_path / "rec", capsys)
 
 
 def test_roi_entries_must_be_objects(workdir, tmp_path, capsys):
@@ -408,6 +438,15 @@ def test_roi_entries_must_be_objects(workdir, tmp_path, capsys):
     path = tmp_path / "rois.json"
     path.write_text(json.dumps(json.loads((dataset_dir / "rois.json").read_text()) + [[1, 2, 3, 4]]))
     assert "bad ROI entry 1: expected an object" in _reconstruct_fails(dataset_dir, path, tmp_path / "rec", capsys)
+
+
+@pytest.mark.parametrize("rois", [[], {"label": "v0"}], ids=["empty", "object"])
+def test_roi_spec_must_be_a_list_and_errors_name_the_file(workdir, tmp_path, capsys, rois):
+    _, dataset_dir = workdir
+    path = tmp_path / "rois.json"
+    path.write_text(json.dumps(rois))
+    err = _reconstruct_fails(dataset_dir, path, tmp_path / "rec", capsys)
+    assert err == f"error: {path}: ROI spec must be a non-empty list of rectangles\n"
 
 
 def test_sweep_writes_the_rate_grid(workdir, capsys):
@@ -497,3 +536,95 @@ def test_sweep_timing_flag_writes_timing_csv(workdir, capsys):
     assert {r["variant"] for r in rows} == {"full_frame", "region"}
     # one sequence of 5 data frames has 6 navigators
     assert re.search(r"; 6 navigators, widened region \d+, full-frame \d+$", capsys.readouterr().out, re.M)
+
+
+# --- corruption gate ----------------------------------------------------------
+
+_SEQUENCES = ("ref1", "il000", "il001", "ref2")
+_JSON_FILES = ("dataset.json", "ref1/seq.json", "il000/seq.json", "il001/seq.json", "rois.json")
+_BAD_VALUES = ("text", None, True, float("nan"), float("inf"), -float("inf"), [[1.0]], {"k": 1}, 10**400)
+
+
+@pytest.fixture(scope="module")
+def gate_dataset(tmp_path_factory):
+    """A two-sequence phantom small enough to copy once per corruption."""
+    root = tmp_path_factory.mktemp("gate")
+    spec = replay_spec(
+        frame_height=48,
+        frame_width=56,
+        vessels=(VesselSpec(x=28.0, y=24.0, radius_px=2.5, peak_intensity=1200.0),),
+        reference_frames=5,
+        sequences=2,
+        data_frames_per_sequence=2,
+    )
+    save_spec(spec, root / "spec.json")
+    dataset_dir = root / "dataset"
+    assert main(["phantom", "--out", str(dataset_dir), "--spec", str(root / "spec.json")]) == 0
+    rois = str(dataset_dir / "rois.json")
+    assert main(["reconstruct", "--dataset", str(dataset_dir), "--rois", rois, "--out", str(root / "rec")]) == 0
+    return dataset_dir
+
+
+def test_errors_between_sequences_name_the_dataset_directory(gate_dataset, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(gate_dataset, broken)
+    shutil.copy(broken / "il000" / "seq.json", broken / "il001" / "seq.json")
+    assert main(["validate", "--dataset", str(broken)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {broken}: dataset: duplicate data slice positions [")
+
+
+def _corrupt(root, data) -> bool:
+    """Apply one drawn corruption under ``root``; return whether it reached the dataset, not only rois.json."""
+    how = data.draw(st.sampled_from(["drop", "set", "stack", "bytes", "non-object", "rename"]), label="how")
+    if how == "rename":
+        name = data.draw(st.sampled_from(_SEQUENCES), label="sequence")
+        (root / name).rename(root / f"{name}_moved")
+        return True
+    if how == "stack":
+        path = root / data.draw(st.sampled_from(_SEQUENCES), label="sequence") / "frames.u16le"
+        blob = path.read_bytes()
+        # 0 empties the stack; below len(blob) truncates it, above extends it
+        size = data.draw(st.integers(0, len(blob) + 8).filter(lambda n: n != len(blob)), label="size")
+        path.write_bytes((blob + bytes(8))[:size])
+        return True
+    name = data.draw(st.sampled_from(_JSON_FILES), label="file")
+    path = root / name
+    if how == "bytes":
+        path.write_bytes(data.draw(st.sampled_from([b"\xff\xfe", b'{"a": "\xe9"}', b"\x80"]), label="bytes"))
+    elif how == "non-object":
+        path.write_text(json.dumps(data.draw(st.sampled_from([[1, 2], 3, "text", None]), label="value")))
+    else:
+        obj = json.loads(path.read_text())
+        target = obj[data.draw(st.integers(0, len(obj) - 1), label="entry")] if name == "rois.json" else obj
+        key = data.draw(st.sampled_from(sorted(target)), label="key")
+        holder, slot = target, key
+        if how == "drop":
+            del target[key]
+        else:
+            if isinstance(target[key], list) and data.draw(st.booleans(), label="one item"):
+                holder, slot = target[key], data.draw(st.integers(0, len(target[key]) - 1), label="item")
+            # a string is the right type wherever one was
+            was_text = isinstance(holder[slot], str)
+            wrong = st.sampled_from(_BAD_VALUES).filter(lambda v: not (was_text and isinstance(v, str)))
+            holder[slot] = data.draw(wrong, label="value")
+        path.write_text(json.dumps(obj))
+    return name != "rois.json"
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_corrupt_input_ends_in_one_error_line(gate_dataset, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        broken, out = Path(tmp) / "dataset", Path(tmp) / "rec"
+        shutil.copytree(gate_dataset, broken)
+        commands = [["reconstruct", "--dataset", str(broken), "--rois", str(broken / "rois.json"), "--out", str(out)]]
+        if _corrupt(broken, data):
+            commands.append(["validate", "--dataset", str(broken)])
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (1, 2), (argv[0], code, lines)
+            assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err.getvalue(), lines
+            assert not out.exists()

@@ -34,8 +34,6 @@ def _shifted_session(dx, dy):
             frame(4, DATA, 24, 24, 10.0),
             frame(5, NAVIGATOR, 24 + dx, 24 + dy),
         ],
-        data_slice_position_mm=10.0,
-        sequence_index=0,
     )
     dataset = Dataset(ref, ref, [seq], in_plane_spacing_mm=(1.82, 1.82), slice_gap_mm=4.0)
     return dataset, [Roi("v0", 18, 18, 13, 13)]

@@ -20,7 +20,7 @@ def _frame(kind, t, pos, value=100, shape=(8, 10)):
     return Frame(pixels=px, kind=kind, timestamp_ms=t, slice_position_mm=pos)
 
 
-def _tiny_interleaved(index=0, n_data=2, nav_mm=0.0, data_mm=10.0, t0=0.0):
+def _tiny_interleaved(n_data=2, nav_mm=0.0, data_mm=10.0, t0=0.0):
     frames = []
     t = t0
     for i in range(2 * n_data + 1):
@@ -29,7 +29,7 @@ def _tiny_interleaved(index=0, n_data=2, nav_mm=0.0, data_mm=10.0, t0=0.0):
         else:
             frames.append(_frame(DATA, t, data_mm))
         t += 200.0
-    return InterleavedSequence(frames=frames, data_slice_position_mm=data_mm, sequence_index=index)
+    return InterleavedSequence(frames=frames)
 
 
 # --- quantization -----------------------------------------------------------
@@ -56,7 +56,7 @@ def test_interleaved_must_alternate():
         _frame(NAVIGATOR, 400.0, 0.0),
     ]
     with pytest.raises(ValidationError, match=r"frame 1 is 'navigator', expected data"):
-        InterleavedSequence(frames=frames, data_slice_position_mm=10.0, sequence_index=0)
+        InterleavedSequence(frames=frames)
 
 
 def test_interleaved_must_end_with_navigator():
@@ -67,7 +67,7 @@ def test_interleaved_must_end_with_navigator():
         _frame(DATA, 600.0, 10.0),
     ]
     with pytest.raises(ValidationError, match="even frame count"):
-        InterleavedSequence(frames=frames, data_slice_position_mm=10.0, sequence_index=0)
+        InterleavedSequence(frames=frames)
 
 
 def test_timestamps_must_increase():
@@ -77,13 +77,13 @@ def test_timestamps_must_increase():
         _frame(NAVIGATOR, 400.0, 0.0),
     ]
     with pytest.raises(ValidationError):
-        InterleavedSequence(frames=frames, data_slice_position_mm=10.0, sequence_index=0)
+        InterleavedSequence(frames=frames)
 
 
 def test_dataset_rejects_duplicate_slice_positions():
     ref = ReferenceSequence(frames=[_frame(NAVIGATOR, 0.0, 0.0)], frame_period_ms=200.0)
     ref2 = ReferenceSequence(frames=[_frame(NAVIGATOR, 5000.0, 0.0)], frame_period_ms=200.0)
-    seqs = [_tiny_interleaved(0, data_mm=10.0, t0=1000.0), _tiny_interleaved(1, data_mm=10.0, t0=3000.0)]
+    seqs = [_tiny_interleaved(data_mm=10.0, t0=1000.0), _tiny_interleaved(data_mm=10.0, t0=3000.0)]
     with pytest.raises(ValidationError, match="duplicate data slice positions"):
         Dataset(ref, ref2, seqs, in_plane_spacing_mm=(1.82, 1.82), slice_gap_mm=4.0)
 
@@ -92,9 +92,9 @@ def test_dataset_rejects_uneven_slice_progression():
     ref = ReferenceSequence(frames=[_frame(NAVIGATOR, 0.0, 0.0)], frame_period_ms=200.0)
     ref2 = ReferenceSequence(frames=[_frame(NAVIGATOR, 9000.0, 0.0)], frame_period_ms=200.0)
     seqs = [
-        _tiny_interleaved(0, data_mm=10.0, t0=1000.0),
-        _tiny_interleaved(1, data_mm=14.0, t0=3000.0),
-        _tiny_interleaved(2, data_mm=21.0, t0=5000.0),  # step 7, not 4
+        _tiny_interleaved(data_mm=10.0, t0=1000.0),
+        _tiny_interleaved(data_mm=14.0, t0=3000.0),
+        _tiny_interleaved(data_mm=21.0, t0=5000.0),  # step 7, not 4
     ]
     with pytest.raises(ValidationError, match="arithmetic"):
         Dataset(ref, ref2, seqs, in_plane_spacing_mm=(1.82, 1.82), slice_gap_mm=4.0)

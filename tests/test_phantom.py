@@ -151,7 +151,7 @@ def test_renderer_reproduces_the_per_frame_arithmetic_bit_for_bit():
     dataset, truth = generate_phantom(RICH_SPEC, seed=seed)
     expected = _per_frame_reference(RICH_SPEC, seed)
     got = [("ref1", f) for f in dataset.reference_1.frames]
-    got += [(f"il{seq.sequence_index:03d}", f) for seq in dataset.interleaved for f in seq.frames]
+    got += [(f"il{s:03d}", f) for s, seq in enumerate(dataset.interleaved) for f in seq.frames]
     got += [("ref2", f) for f in dataset.reference_2.frames]
     assert [name for name, _ in got] == [row[0] for row in expected]
     for (_, frame), (_, t, pixels, _, _) in zip(got, expected):
@@ -195,7 +195,7 @@ def test_truth_positions_follow_the_signal():
     dataset, truth = generate_phantom(spec, seed=2)
     sequences = (
         [("ref1", dataset.reference_1.frames)]
-        + [(f"il{s.sequence_index:03d}", s.frames) for s in dataset.interleaved]
+        + [(f"il{s:03d}", seq.frames) for s, seq in enumerate(dataset.interleaved)]
         + [("ref2", dataset.reference_2.frames)]
     )
     for name, frames in sequences:

@@ -290,8 +290,6 @@ def test_too_short_reference_is_rejected():
     ref = ReferenceSequence(frames=[frame(0, NAVIGATOR, 0.0), frame(1, NAVIGATOR, 0.0)], frame_period_ms=200.0)
     seq = InterleavedSequence(
         frames=[frame(2, NAVIGATOR, 0.0), frame(3, DATA, 10.0), frame(4, NAVIGATOR, 0.0)],
-        data_slice_position_mm=10.0,
-        sequence_index=0,
     )
     dataset = Dataset(
         reference_1=ref,

@@ -15,7 +15,8 @@ and quartiles of every metric, then for each end-to-end metric of the
 change's ``BENCHMARK.json`` the number of pairs the change won, whether
 its median beats the parent's by more than the parent's interquartile range,
 and whether it is worse than the parent's by more than the metric's
-``bound``, a share of the parent's median.
+``bound``, a share of the parent's median.  ``src_lines`` holds the line
+count of ``src/resp4d/*.py`` in each checkout.
 If a run of run.py fails, its stderr is printed, the entry is written with
 the runs completed so far and ``"complete": false``, and the exit status is
 1.  Standard library only.
@@ -42,6 +43,11 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return result
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/resp4d/*.py``, counted as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "resp4d").glob("*.py"))
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
@@ -62,7 +68,12 @@ def main(argv=None) -> int:
     declared = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = []
-    report = {"workload": args.workload, "seeds": list(range(args.seed, args.seed + args.pairs)), "runs": runs}
+    report = {
+        "workload": args.workload,
+        "seeds": list(range(args.seed, args.seed + args.pairs)),
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
+        "runs": runs,
+    }
     try:
         for i in range(args.pairs):
             seed = args.seed + i
