@@ -168,8 +168,7 @@ def _cmd_sweep(args) -> int:
         print(
             f"timing: full {comparison.full_seconds:.2f}s vs region "
             f"{comparison.region_seconds:.2f}s -> speedup {comparison.speedup:.2f}x; "
-            f"{navigators} navigators, widened region {comparison.widened_region}, "
-            f"full-frame {comparison.widened_full}"
+            f"{navigators} navigators, widened region {comparison.widened_region}"
         )
     return EXIT_OK
 

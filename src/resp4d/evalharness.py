@@ -93,8 +93,7 @@ def write_rates_csv(cells: list[SweepCell], path: Path | str) -> None:
 @dataclass
 class TimingComparison:
     decisions_identical: bool
-    widened_region: int
-    widened_full: int  # 0 by construction: a full-frame search has nothing to widen to
+    widened_region: int  # a full-frame search has nothing to widen to
     full_runs: list[float]  # seconds per run
     region_runs: list[float]
 
@@ -142,7 +141,6 @@ def compare_timing(
     return TimingComparison(
         decisions_identical=identical,
         widened_region=region_rep.widened_count,
-        widened_full=full_rep.widened_count,
         full_runs=full_times,
         region_runs=region_times,
     )

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -25,6 +27,12 @@ from .errors import DatasetIOError, ValidationError
 NAVIGATOR = "navigator"
 DATA = "data"
 FRAME_KINDS = (NAVIGATOR, DATA)
+
+
+def check_positive(key: str, value) -> None:
+    """The one rule of every length, spacing and period: each entry of ``value`` a finite number above 0."""
+    if not all(0 < v < math.inf for v in (value if isinstance(value, (tuple, list)) else (value,))):  # NaN too
+        raise ValidationError(f"{key} must be positive, got {value}")
 
 
 @dataclass
@@ -78,6 +86,7 @@ class ReferenceSequence:
     frame_period_ms: float
 
     def __post_init__(self) -> None:
+        check_positive("frame_period_ms", self.frame_period_ms)
         if not self.frames:
             raise ValidationError("reference sequence has no frames")
         _check_uniform_dims(self.frames, "reference sequence")
@@ -130,6 +139,8 @@ class Dataset:
     slice_gap_mm: float
 
     def __post_init__(self) -> None:
+        check_positive("in_plane_spacing_mm", self.in_plane_spacing_mm)
+        check_positive("slice_gap_mm", self.slice_gap_mm)
         if not self.interleaved:
             raise ValidationError("dataset has no interleaved sequences")
         shapes = {self.reference_1.frames[0].pixels.shape, self.reference_2.frames[0].pixels.shape}
@@ -194,102 +205,136 @@ def write_json(path: Path | str, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+# the scalar kinds, the JSON types each reads (``type(True)`` is ``bool``, never ``int``) and their wording
+_SCALARS = {int: ({int}, "an integer"), float: ({int, float}, "a finite number"), str: ({str}, "a string")}
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _scalars_ok(kind, items) -> bool:
+    """Whether every item is a JSON ``kind``; C-level maps check a list in one pass, with no call per item."""
+    return set(map(type, items)) <= _SCALARS[kind][0] and (kind is not float or all(map(math.isfinite, items)))
 
 
-def _is_text(value) -> bool:
-    return isinstance(value, str)
+@cache
+def _schema(kind) -> dict:
+    """JSON key -> (field name, type, required) of dataclass ``kind``; ``metadata["key"]`` renames a field."""
+    hints = get_type_hints(kind)
+    return {f.metadata.get("key", f.name): (f.name, hints[f.name], f.default is MISSING) for f in fields(kind)}
 
 
-def _list_of(check, length: int | None = None):
-    def is_list(value) -> bool:
-        return isinstance(value, list) and length in (None, len(value)) and all(map(check, value))
-
-    return is_list
-
-
-def _check_keys(meta, schema: dict) -> dict:
-    """Check ``meta`` is an object holding every key of ``schema``, well typed."""
-    if not isinstance(meta, dict):
-        raise ValidationError(f"expected a JSON object, got {type(meta).__name__}")
-    for key, (check, expected) in schema.items():
-        if key not in meta:
-            raise ValidationError(f"missing key {key!r}")
-        if not check(meta[key]):
-            raise ValidationError(f"key {key!r} must be {expected}, got {meta[key]!r}")
-    return meta
+def to_obj(value):
+    """The JSON form of ``value``: a dataclass is an object with one key per field, a tuple a list."""
+    if is_dataclass(value):
+        return {key: to_obj(getattr(value, name)) for key, (name, _, _) in _schema(type(value)).items()}
+    if isinstance(value, tuple):
+        return [to_obj(item) for item in value]
+    return value
 
 
-_SEQUENCE_KEYS = {
-    "frame_count": (_is_count, "a non-negative integer"),
-    "kinds": (_list_of(_is_text), "a list of strings"),
-    "timestamps_ms": (_list_of(_is_number), "a list of finite numbers"),
-    "slice_positions_mm": (_list_of(_is_number), "a list of finite numbers"),
-}
-# seq.json's lists of one entry per frame, in the order of Frame's fields after pixels
-_PER_FRAME_KEYS = ("kinds", "timestamps_ms", "slice_positions_mm")
-_DATASET_KEYS = {
-    "frame_shape": (_list_of(lambda v: _is_count(v) and v > 0, 2), "two positive integers"),
-    "in_plane_spacing_mm": (_list_of(lambda v: _is_number(v) and v > 0, 2), "two positive numbers"),
-    "slice_gap_mm": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "frame_period_ms": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "sequences": (_list_of(_is_text), "a list of strings"),
-    "references": (_list_of(_is_text), "a list of strings"),
-}
+def from_obj(kind, obj, path: str = ""):
+    """Build a ``kind`` from the JSON value ``obj``, the inverse of :func:`to_obj`.
+
+    A dataclass reads an object that holds no key but its fields' keys; an
+    omitted key keeps the field's default.  A tuple reads a list, and ``int``,
+    ``float`` and ``str`` read the matching JSON scalar.  Every error is a
+    ``ValidationError`` naming the key path in ``obj`` (``vessels[0].x``),
+    relative to ``path``.
+    """
+    if is_dataclass(kind):
+        if not isinstance(obj, dict):
+            where = f"key {path!r} must be" if path else "expected"
+            raise ValidationError(f"{where} an object, got {obj!r}")
+        prefix = f"{path}." if path else ""
+        schema = _schema(kind)
+        unknown = sorted(obj.keys() - schema.keys())
+        if unknown:
+            raise ValidationError(f"unknown key {prefix + unknown[0]!r}")
+        values = {}
+        for key, (name, hint, required) in schema.items():
+            if key in obj:
+                values[name] = from_obj(hint, obj[key], prefix + key)
+            elif required:
+                raise ValidationError(f"missing key {prefix + key!r}")
+        return kind(**values)
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        variadic = args[-1] is Ellipsis
+        if not isinstance(obj, list) or not (variadic or len(obj) == len(args)):
+            size = "" if variadic else f" of {len(args)}"
+            raise ValidationError(f"key {path!r} must be a list{size}, got {obj!r}")
+        # a list of scalars is checked in one pass; item paths are only built to name a bad item
+        if variadic and args[0] in _SCALARS and _scalars_ok(args[0], obj):
+            return tuple(map(args[0], obj))
+        items = args[:1] * len(obj) if variadic else args
+        return tuple(from_obj(a, item, f"{path}[{i}]") for i, (a, item) in enumerate(zip(items, obj)))
+    if not _scalars_ok(kind, (obj,)):
+        raise ValidationError(f"key {path!r} must be {_SCALARS[kind][1]}, got {obj!r}")
+    return kind(obj)
 
 
-def _sequence_meta(obj) -> dict:
-    meta = _check_keys(obj, _SEQUENCE_KEYS)
-    count = meta["frame_count"]
-    for key in _PER_FRAME_KEYS:
-        if len(meta[key]) != count:
-            raise ValidationError(f"{key} has {len(meta[key])} entries, expected {count}")
-    return meta
+@dataclass(frozen=True)
+class _SequenceMeta:
+    """``seq.json``: one entry per frame in each list, in the order of Frame's fields after pixels."""
+
+    frame_count: int
+    kinds: tuple[str, ...]
+    timestamps_ms: tuple[float, ...]
+    slice_positions_mm: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.frame_count < 0:
+            raise ValidationError(f"frame_count must be non-negative, got {self.frame_count}")
+        for key in ("kinds", "timestamps_ms", "slice_positions_mm"):
+            if len(getattr(self, key)) != self.frame_count:
+                raise ValidationError(f"{key} has {len(getattr(self, key))} entries, expected {self.frame_count}")
 
 
-def _dataset_meta(obj) -> dict:
-    meta = _check_keys(obj, _DATASET_KEYS)
-    names, refs = meta["sequences"], meta["references"]
-    if len(refs) != 2:
-        raise ValidationError(f"must name exactly 2 references, got {refs}")
-    if refs[0] == refs[1]:
-        raise ValidationError(f"references name {refs[0]!r} twice")
-    # every name is joined to the root, so it must stay a plain entry of it
-    for name in names:
-        if name in ("", ".", "..") or Path(name).name != name or names.count(name) > 1:
-            raise ValidationError(f"sequence {name!r} is not a plain, unique directory name")
-    missing = [n for n in refs if n not in names]
-    if missing:
-        raise ValidationError(f"reference sequences {missing} not present in sequence list")
-    return meta
+@dataclass(frozen=True)
+class _DatasetMeta:
+    """``dataset.json``: the geometry, and the sequence directories in acquisition order."""
+
+    frame_shape: tuple[int, int]
+    in_plane_spacing_mm: tuple[float, float]
+    slice_gap_mm: float
+    frame_period_ms: float
+    sequences: tuple[str, ...]
+    references: tuple[str, str]
+
+    def __post_init__(self) -> None:
+        for key in ("frame_shape", "in_plane_spacing_mm", "slice_gap_mm", "frame_period_ms"):
+            check_positive(key, getattr(self, key))
+        names, refs = self.sequences, self.references
+        if refs[0] == refs[1]:
+            raise ValidationError(f"references name {refs[0]!r} twice")
+        # every name is joined to the root, so it must stay a plain entry of it
+        for name in names:
+            if name in ("", ".", "..") or Path(name).name != name or names.count(name) > 1:
+                raise ValidationError(f"sequence {name!r} is not a plain, unique directory name")
+        missing = [n for n in refs if n not in names]
+        if missing:
+            raise ValidationError(f"reference sequences {missing} not present in sequence list")
 
 
 def _write_sequence(dirpath: Path, frames: list[Frame]) -> None:
     dirpath.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "frame_count": len(frames),
-        "kinds": [f.kind for f in frames],
-        "timestamps_ms": [f.timestamp_ms for f in frames],
-        "slice_positions_mm": [f.slice_position_mm for f in frames],
-    }
-    write_json(dirpath / "seq.json", meta)
+    meta = _SequenceMeta(
+        frame_count=len(frames),
+        kinds=tuple(f.kind for f in frames),
+        timestamps_ms=tuple(f.timestamp_ms for f in frames),
+        slice_positions_mm=tuple(f.slice_position_mm for f in frames),
+    )
+    write_json(dirpath / "seq.json", to_obj(meta))
     stack = np.stack([f.pixels for f in frames]).astype("<u2")
     (dirpath / "frames.u16le").write_bytes(stack.tobytes())
 
 
 def _read_sequence(dirpath: Path, frame_shape: tuple[int, int], make):
     """``make`` applied to the frames stored in ``dirpath``; every error names a file or ``dirpath``."""
-    meta = read_json(dirpath / "seq.json", _sequence_meta)
+    meta = read_json(dirpath / "seq.json", lambda obj: from_obj(_SequenceMeta, obj))
     stack_path = dirpath / "frames.u16le"
     if not stack_path.is_file():
         raise DatasetIOError(f"missing file: {stack_path}")
     raw = stack_path.read_bytes()
-    count, (h, w) = meta["frame_count"], frame_shape
+    count, (h, w) = meta.frame_count, frame_shape
     expected = count * h * w * 2
     if len(raw) != expected:
         raise DatasetIOError(
@@ -297,7 +342,7 @@ def _read_sequence(dirpath: Path, frame_shape: tuple[int, int], make):
         )
     stack = np.frombuffer(raw, dtype="<u2").reshape(count, h, w)
     try:
-        return make(list(map(Frame, stack, *(meta[key] for key in _PER_FRAME_KEYS))))
+        return make(list(map(Frame, stack, meta.kinds, meta.timestamps_ms, meta.slice_positions_mm)))
     except ValidationError as exc:
         raise ValidationError(f"{dirpath}: {exc}") from exc
 
@@ -313,16 +358,15 @@ def write_dataset(dataset: Dataset, root: Path | str) -> Path:
     # acquisition order = order of first exposure
     named.sort(key=lambda item: item[1][0].timestamp_ms)
 
-    h, w = dataset.frame_shape
-    meta = {
-        "frame_shape": [h, w],
-        "in_plane_spacing_mm": list(dataset.in_plane_spacing_mm),
-        "slice_gap_mm": dataset.slice_gap_mm,
-        "frame_period_ms": dataset.reference_1.frame_period_ms,
-        "sequences": [name for name, _ in named],
-        "references": ["ref1", "ref2"],
-    }
-    write_json(root / "dataset.json", meta)
+    meta = _DatasetMeta(
+        frame_shape=dataset.frame_shape,
+        in_plane_spacing_mm=tuple(dataset.in_plane_spacing_mm),
+        slice_gap_mm=dataset.slice_gap_mm,
+        frame_period_ms=dataset.reference_1.frame_period_ms,
+        sequences=tuple(name for name, _ in named),
+        references=("ref1", "ref2"),
+    )
+    write_json(root / "dataset.json", to_obj(meta))
     for name, frames in named:
         _write_sequence(root / name, frames)
     return root
@@ -331,11 +375,11 @@ def write_dataset(dataset: Dataset, root: Path | str) -> Path:
 def load_dataset(root: Path | str) -> Dataset:
     """Load and validate a dataset directory; every error names its file or directory."""
     root = Path(root)
-    meta = read_json(root / "dataset.json", _dataset_meta)
-    ref_names, shape, period = meta["references"], tuple(meta["frame_shape"]), meta["frame_period_ms"]
+    meta = read_json(root / "dataset.json", lambda obj: from_obj(_DatasetMeta, obj))
+    ref_names, shape, period = meta.references, meta.frame_shape, meta.frame_period_ms
     references: dict[str, ReferenceSequence] = {}
     interleaved: list[InterleavedSequence] = []
-    for name in meta["sequences"]:
+    for name in meta.sequences:
         if name in ref_names:
             references[name] = _read_sequence(root / name, shape, lambda frames: ReferenceSequence(frames, period))
         else:
@@ -345,8 +389,8 @@ def load_dataset(root: Path | str) -> Dataset:
             reference_1=references[ref_names[0]],
             reference_2=references[ref_names[1]],
             interleaved=interleaved,
-            in_plane_spacing_mm=tuple(meta["in_plane_spacing_mm"]),
-            slice_gap_mm=meta["slice_gap_mm"],
+            in_plane_spacing_mm=meta.in_plane_spacing_mm,
+            slice_gap_mm=meta.slice_gap_mm,
         )
     except ValidationError as exc:
         raise ValidationError(f"{root}: {exc}") from exc

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,8 +34,11 @@ from .imgcore import (
     Frame,
     InterleavedSequence,
     ReferenceSequence,
+    check_positive,
+    from_obj,
     quantize_u16,
     read_json,
+    to_obj,
     write_json,
 )
 from .tracker import Roi, RoiSpec
@@ -183,15 +185,10 @@ def _validate(spec: PhantomSpec, seed: int) -> None:
         raise ValidationError("signal.components: the breathing signal needs a component of positive weight")
     if not spec.noise_std >= 0:
         raise ValidationError(f"noise_std must be non-negative, got {spec.noise_std}")
-    for key in ("frame_period_ms", "slice_gap_mm"):
-        if not getattr(spec, key) > 0:  # also catches NaN
-            raise ValidationError(f"{key} must be positive, got {getattr(spec, key)}")
+    check_positive("frame_period_ms", spec.frame_period_ms)  # bounds the displacement below, before rendering
     for key, value in (("seed", seed), ("signal.seed", spec.signal.seed)):
         if value < 0:  # numpy seeds only from non-negative integers
             raise ValidationError(f"{key} must be non-negative, got {value}")
-    spacing = list(spec.in_plane_spacing_mm)
-    if not all(math.isfinite(v) and v > 0 for v in spacing):  # the dataset loader's own rule
-        raise ValidationError(f"key 'in_plane_spacing_mm' must be two positive numbers, got {spacing}")
     if spec.reference_frames < 3:
         raise ValidationError("reference needs at least 3 frames for enclosing navigators")
     if spec.sequences < 1 or spec.data_frames_per_sequence < 1:
@@ -283,6 +280,7 @@ def generate_phantom(spec: PhantomSpec, seed: int = 0) -> tuple[Dataset, GroundT
             s = int(name[2:])
             time_offset, amp_factor = _sequence_jitter(spec, seed, s)
             const_px = forced.get(s, 0.0)
+            data_mm = spec.first_data_slice_mm + s * spec.slice_gap_mm
         frames = []
         pos_rows, state_rows = [], []
         times = (g + np.arange(count)) * period
@@ -298,7 +296,7 @@ def generate_phantom(spec: PhantomSpec, seed: int = 0) -> tuple[Dataset, GroundT
                 pos_rows.append(centres)
                 state_rows.append(disp)
             else:
-                slice_mm = spec.first_data_slice_mm + int(name[2:]) * spec.slice_gap_mm
+                slice_mm = data_mm
             frames.append(Frame(pixels=pixels, kind=kind, timestamp_ms=t, slice_position_mm=slice_mm))
             g += 1
         sequences[name] = frames
@@ -396,61 +394,12 @@ def write_ground_truth_csv(truth: GroundTruth, path: Path | str) -> None:
                     )
 
 
-# --- phantom.json -----------------------------------------------------------
-# The JSON form is read off the dataclasses: a dataclass is an object with one
-# key per field, a tuple is a list, and an omitted key keeps the default.
-
-
-def spec_to_obj(value):
-    """JSON-shaped form of a spec, or of any dataclass or tuple inside one."""
-    if is_dataclass(value):
-        return {f.name: spec_to_obj(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [spec_to_obj(item) for item in value]
-    return value
-
-
-def _from_obj(kind, obj, path: str):
-    """Build a ``kind`` from JSON ``obj``; ``path`` names ``obj`` in errors."""
-    if is_dataclass(kind):
-        if not isinstance(obj, dict):
-            where = f"key {path!r}" if path else "the spec"
-            raise ValidationError(f"{where} must be an object, got {obj!r}")
-        prefix = f"{path}." if path else ""
-        unknown = sorted(set(obj) - {f.name for f in fields(kind)})
-        if unknown:
-            raise ValidationError(f"unknown key {prefix + unknown[0]!r}")
-        hints = get_type_hints(kind)
-        values = {}
-        for f in fields(kind):
-            if f.name in obj:
-                values[f.name] = _from_obj(hints[f.name], obj[f.name], prefix + f.name)
-            elif f.default is MISSING:
-                raise ValidationError(f"missing key {prefix + f.name!r}")
-        return kind(**values)
-    if get_origin(kind) is tuple:
-        args = get_args(kind)
-        variadic = args[-1] is Ellipsis
-        if not isinstance(obj, list) or not (variadic or len(obj) == len(args)):
-            size = "" if variadic else f" of {len(args)}"
-            raise ValidationError(f"key {path!r} must be a list{size}, got {obj!r}")
-        items = args[:1] * len(obj) if variadic else args
-        return tuple(_from_obj(a, item, f"{path}[{i}]") for i, (a, item) in enumerate(zip(items, obj)))
-    if kind is int and isinstance(obj, int) and not isinstance(obj, bool):
-        return obj
-    if kind is float and isinstance(obj, (int, float)) and not isinstance(obj, bool) and math.isfinite(obj):
-        return float(obj)
-    expected = {int: "an integer", float: "a finite number"}[kind]
-    raise ValidationError(f"key {path!r} must be {expected}, got {obj!r}")
-
-
-def spec_from_obj(obj) -> PhantomSpec:
-    return _from_obj(PhantomSpec, obj, "")
+# --- phantom_spec.json -------------------------------------------------------
 
 
 def load_spec(path: Path | str) -> PhantomSpec:
-    return read_json(path, spec_from_obj)
+    return read_json(path, lambda obj: from_obj(PhantomSpec, obj))
 
 
 def save_spec(spec: PhantomSpec, path: Path | str) -> None:
-    write_json(path, spec_to_obj(spec))
+    write_json(path, to_obj(spec))

@@ -32,13 +32,13 @@ until it reads counters that the program records itself.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import TrackingError, ValidationError
-from .imgcore import Frame, ReferenceSequence
+from .imgcore import Frame, ReferenceSequence, from_obj, to_obj
 from .matcher import (
     CCOEFF_NORMED,
     MEASURES,
@@ -65,8 +65,8 @@ class Roi:
     label: str
     x: int
     y: int
-    width: int
-    height: int
+    width: int = field(metadata={"key": "w"})  # rois.json keys
+    height: int = field(metadata={"key": "h"})
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -74,14 +74,6 @@ class Roi:
 
 
 RoiSpec = list[Roi]
-# (key, JSON type, description) of every field of a rois.json entry
-_ROI_FIELDS = (
-    ("label", str, "a string"),
-    ("x", int, "an integer"),
-    ("y", int, "an integer"),
-    ("w", int, "an integer"),
-    ("h", int, "an integer"),
-)
 
 
 def rois_from_obj(obj) -> RoiSpec:
@@ -90,16 +82,10 @@ def rois_from_obj(obj) -> RoiSpec:
         raise ValidationError("ROI spec must be a non-empty list of rectangles")
     rois = []
     for i, entry in enumerate(obj):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"bad ROI entry {i}: expected an object, got {entry!r}")
-        for key, kind, expected in _ROI_FIELDS:
-            if key not in entry:
-                raise ValidationError(f"bad ROI entry {i}: missing key {key!r}")
-            # JSON integers only: int() would truncate 18.7, overflow on
-            # Infinity and turn true into a 1-pixel template
-            if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
-                raise ValidationError(f"bad ROI entry {i}: key {key!r} must be {expected}, got {entry[key]!r}")
-        rois.append(Roi(label=entry["label"], x=entry["x"], y=entry["y"], width=entry["w"], height=entry["h"]))
+        try:
+            rois.append(from_obj(Roi, entry))
+        except ValidationError as exc:
+            raise ValidationError(f"bad ROI entry {i}: {exc}") from exc
     labels = [r.label for r in rois]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"duplicate ROI labels in {labels}")
@@ -107,10 +93,7 @@ def rois_from_obj(obj) -> RoiSpec:
 
 
 def rois_to_obj(rois: RoiSpec) -> list[dict]:
-    return [
-        {"label": r.label, "x": r.x, "y": r.y, "w": r.width, "h": r.height}
-        for r in rois
-    ]
+    return [to_obj(r) for r in rois]
 
 
 @dataclass

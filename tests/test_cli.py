@@ -96,10 +96,10 @@ def test_malformed_phantom_spec_fails_validation(tmp_path, capsys, write, messag
         ({"noise_std": -1.0}, "noise_std must be non-negative"),
         ({"vessels": [{"x": 24.0, "y": 20.0, "radius_px": 0.0}]}, "vessels[0].radius_px must be positive"),
         ({"signal": {"seed": -3}}, "signal.seed must be non-negative, got -3"),
-        # the dataset loader's wording: phantom must not write what validate rejects
-        ({"in_plane_spacing_mm": [-1.0, 1.0]}, "key 'in_plane_spacing_mm' must be two positive numbers, got [-1.0, 1.0]"),
-        ({"in_plane_spacing_mm": [1.82, 0.0]}, "key 'in_plane_spacing_mm' must be two positive numbers, got [1.82, 0.0]"),
-        # refused before rendering, not by the dataset check after it
+        # the Dataset's own rule: phantom must not write what validate rejects
+        ({"in_plane_spacing_mm": [-1.0, 1.0]}, "in_plane_spacing_mm must be positive, got (-1.0, 1.0)"),
+        ({"in_plane_spacing_mm": [1.82, 0.0]}, "in_plane_spacing_mm must be positive, got (1.82, 0.0)"),
+        # refused before rendering, because it bounds the displacement
         ({"frame_period_ms": -200.0}, "frame_period_ms must be positive, got -200.0"),
         ({"slice_gap_mm": 0.0}, "slice_gap_mm must be positive, got 0.0"),
     ],
@@ -293,24 +293,27 @@ def _reference_twice(meta):
     "name, edit, message",
     [
         ("il000/seq.json", _drop("kinds"), "missing key 'kinds'"),
-        ("il000/seq.json", _set("frame_count", "11"), "key 'frame_count' must be a non-negative integer"),
+        ("il000/seq.json", _set("frame_count", "11"), "key 'frame_count' must be an integer, got '11'"),
         ("il000/seq.json", _set("timestamps_ms", None), "key 'timestamps_ms' must be a list"),
-        ("ref1/seq.json", _set("slice_positions_mm", [0.0, "a"]), "key 'slice_positions_mm' must be a list"),
+        ("ref1/seq.json", _set("slice_positions_mm", [0.0, "a"]), "key 'slice_positions_mm[1]' must be a finite number"),
+        ("il000/seq.json", _set("comment", "x"), "unknown key 'comment'"),
         ("dataset.json", _drop("references"), "missing key 'references'"),
-        ("dataset.json", _set("frame_shape", [0, 0]), "key 'frame_shape' must be two positive integers"),
-        ("dataset.json", _set("frame_shape", [48]), "key 'frame_shape' must be two positive integers"),
-        ("dataset.json", _set("sequences", "ref1"), "key 'sequences' must be a list of strings"),
-        ("dataset.json", _set("frame_period_ms", float("nan")), "key 'frame_period_ms' must be a positive number"),
-        ("dataset.json", _set("slice_gap_mm", -4.0), "key 'slice_gap_mm' must be a positive number, got -4.0"),
-        ("dataset.json", _set("slice_gap_mm", 0), "key 'slice_gap_mm' must be a positive number, got 0"),
-        ("dataset.json", _set("slice_gap_mm", 10**400), "key 'slice_gap_mm' must be a positive number, got inf"),
+        ("dataset.json", _set("frame_shape", [0, 0]), "frame_shape must be positive, got (0, 0)"),
+        ("dataset.json", _set("frame_shape", [48]), "key 'frame_shape' must be a list of 2, got [48]"),
+        ("dataset.json", _set("sequences", "ref1"), "key 'sequences' must be a list, got 'ref1'"),
+        ("dataset.json", _set("frame_period_ms", float("nan")), "key 'frame_period_ms' must be a finite number, got nan"),
+        ("dataset.json", _set("slice_gap_mm", -4.0), "slice_gap_mm must be positive, got -4.0"),
+        ("dataset.json", _set("slice_gap_mm", 0), "slice_gap_mm must be positive, got 0.0"),
+        ("dataset.json", _set("slice_gap_mm", 10**400), "key 'slice_gap_mm' must be a finite number, got inf"),
         ("dataset.json", _reference_twice, "references name 'ref1' twice"),
+        ("dataset.json", _set("slice_gap", 4.0), "unknown key 'slice_gap'"),
     ],
     ids=[
         "seq-no-kinds",
         "seq-count-string",
         "seq-timestamps-null",
         "seq-position-string",
+        "seq-unknown-key",
         "dataset-no-references",
         "dataset-zero-shape",
         "dataset-short-shape",
@@ -320,6 +323,7 @@ def _reference_twice(meta):
         "dataset-gap-zero",
         "dataset-gap-huge",
         "dataset-reference-twice",
+        "dataset-unknown-key",
     ],
 )
 def test_malformed_metadata_fails_validation(workdir, tmp_path, capsys, name, edit, message):
@@ -382,7 +386,7 @@ def test_metadata_must_be_an_object(workdir, tmp_path, capsys):
     (broken / "il000" / "seq.json").write_text("[1, 2]")
     assert main(["validate", "--dataset", str(broken)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "expected a JSON object, got list" in err
+    assert err.startswith("error: ") and "expected an object, got [1, 2]" in err
 
 
 def _reconstruct_fails(dataset, rois, out, capsys):
@@ -421,8 +425,9 @@ def test_undecodable_json_fails_validation(workdir, tmp_path, capsys, name):
         (_drop("h"), "bad ROI entry 0: missing key 'h'"),
         # no double holds it, so it reads as infinity rather than overflow later
         (_set("y", 10**400), "bad ROI entry 0: key 'y' must be an integer, got inf"),
+        (_set("comment", "x"), "bad ROI entry 0: unknown key 'comment'"),
     ],
-    ids=["x-infinity", "x-fraction", "w-bool", "x-string", "label-number", "no-h", "y-huge"],
+    ids=["x-infinity", "x-fraction", "w-bool", "x-string", "label-number", "no-h", "y-huge", "unknown-key"],
 )
 def test_roi_fields_must_be_json_integers(workdir, tmp_path, capsys, edit, message):
     _, dataset_dir = workdir
@@ -535,7 +540,7 @@ def test_sweep_timing_flag_writes_timing_csv(workdir, capsys):
         rows = list(csv.DictReader(fh))
     assert {r["variant"] for r in rows} == {"full_frame", "region"}
     # one sequence of 5 data frames has 6 navigators
-    assert re.search(r"; 6 navigators, widened region \d+, full-frame \d+$", capsys.readouterr().out, re.M)
+    assert re.search(r"; 6 navigators, widened region \d+$", capsys.readouterr().out, re.M)
 
 
 # --- corruption gate ----------------------------------------------------------
@@ -575,7 +580,7 @@ def test_errors_between_sequences_name_the_dataset_directory(gate_dataset, tmp_p
 
 def _corrupt(root, data) -> bool:
     """Apply one drawn corruption under ``root``; return whether it reached the dataset, not only rois.json."""
-    how = data.draw(st.sampled_from(["drop", "set", "stack", "bytes", "non-object", "rename"]), label="how")
+    how = data.draw(st.sampled_from(["drop", "set", "extra", "stack", "bytes", "non-object", "rename"]), label="how")
     if how == "rename":
         name = data.draw(st.sampled_from(_SEQUENCES), label="sequence")
         (root / name).rename(root / f"{name}_moved")
@@ -598,7 +603,9 @@ def _corrupt(root, data) -> bool:
         target = obj[data.draw(st.integers(0, len(obj) - 1), label="entry")] if name == "rois.json" else obj
         key = data.draw(st.sampled_from(sorted(target)), label="key")
         holder, slot = target, key
-        if how == "drop":
+        if how == "extra":  # a key no input has, holding a value its neighbour would accept
+            target["extra"] = target[key]
+        elif how == "drop":
             del target[key]
         else:
             if isinstance(target[key], list) and data.draw(st.booleans(), label="one item"):

@@ -1,3 +1,8 @@
+import ast
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,9 @@ from resp4d.imgcore import (
     quantize_u16,
     write_dataset,
 )
+from resp4d.phantom import generate_phantom
+
+from conftest import replay_spec
 
 
 def _frame(kind, t, pos, value=100, shape=(8, 10)):
@@ -100,6 +108,30 @@ def test_dataset_rejects_uneven_slice_progression():
         Dataset(ref, ref2, seqs, in_plane_spacing_mm=(1.82, 1.82), slice_gap_mm=4.0)
 
 
+@pytest.fixture(scope="module")
+def small():
+    """A one-sequence phantom, so a gap of any sign forms a valid progression."""
+    dataset, _ = generate_phantom(replay_spec(sequences=1, reference_frames=5, data_frames_per_sequence=2), seed=0)
+    return dataset
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("slice_gap_mm", -4.0), ("slice_gap_mm", 0.0), ("slice_gap_mm", math.nan), ("in_plane_spacing_mm", (-1.0, 1.0))],
+    ids=["gap-negative", "gap-zero", "gap-nan", "spacing-negative"],
+)
+def test_dataset_owns_its_geometry_rules(small, field, value):
+    with pytest.raises(ValidationError) as exc:
+        replace(small, **{field: value})
+    assert str(exc.value) == f"{field} must be positive, got {value}"
+
+
+def test_reference_sequence_needs_a_positive_frame_period(small):
+    with pytest.raises(ValidationError) as exc:
+        replace(small.reference_1, frame_period_ms=-200.0)
+    assert str(exc.value) == "frame_period_ms must be positive, got -200.0"
+
+
 def test_navigator_and_data_views():
     seq = _tiny_interleaved(n_data=3)
     assert [f.kind for f in seq.navigators()] == [NAVIGATOR] * 4
@@ -167,3 +199,33 @@ def test_reference_selector(replay):
     assert dataset.reference(2) is dataset.reference_2
     with pytest.raises(ValueError):
         dataset.reference(3)
+
+
+# --- one JSON idiom -----------------------------------------------------------
+
+
+def _references(tree):
+    """Every name, attribute and imported name in ``tree``, attributes also as ``owner.attr``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+            if isinstance(node.value, ast.Name):
+                yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name
+                yield f"{node.module}.{alias.name}"
+
+
+def test_only_imgcore_reads_and_writes_json():
+    # every JSON input goes through imgcore's one walker; a fourth idiom elsewhere fails here
+    idioms = {"json.loads", "json.dumps", "json.load", "json.dump", "get_type_hints", "is_dataclass"}
+    src = Path(__file__).resolve().parents[1] / "src" / "resp4d"
+    users = {}
+    for path in sorted(src.glob("*.py")):
+        found = idioms & set(_references(ast.parse(path.read_text(), str(path))))
+        if found:
+            users[path.name] = found
+    assert users == {"imgcore.py": {"json.loads", "json.dumps", "get_type_hints", "is_dataclass"}}

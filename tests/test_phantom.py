@@ -9,7 +9,17 @@ import pytest
 
 from resp4d import phantom
 from resp4d.errors import ValidationError
-from resp4d.imgcore import DATA, NAVIGATOR, quantize_u16
+from resp4d.imgcore import (
+    DATA,
+    NAVIGATOR,
+    _DatasetMeta,
+    _SequenceMeta,
+    from_obj,
+    quantize_u16,
+    read_json,
+    to_obj,
+    write_dataset,
+)
 from resp4d.phantom import (
     BreathingSignal,
     GroundTruth,
@@ -21,8 +31,6 @@ from resp4d.phantom import (
     render_frame,
     save_spec,
     load_spec,
-    spec_from_obj,
-    spec_to_obj,
     suggested_rois,
     write_ground_truth_csv,
 )
@@ -278,14 +286,16 @@ def test_non_finite_spacing_is_rejected(spacing):
     # a JSON spec cannot carry these; a spec built in Python can
     with pytest.raises(ValidationError) as exc:
         generate_phantom(replay_spec(in_plane_spacing_mm=spacing), seed=0)
-    assert str(exc.value) == f"key 'in_plane_spacing_mm' must be two positive numbers, got {list(spacing)}"
+    assert str(exc.value) == f"in_plane_spacing_mm must be positive, got {spacing}"
 
 
 @pytest.mark.parametrize("key", ["frame_period_ms", "slice_gap_mm"])
 def test_nan_timing_and_gap_are_rejected(key, monkeypatch):
-    # a JSON spec cannot carry NaN; a spec built in Python can, and it is
-    # refused before a single frame is rendered
-    monkeypatch.setattr(phantom, "render_frame", None)
+    # a JSON spec cannot carry NaN; a spec built in Python can.  The frame
+    # period bounds the displacement, so it is refused before a single frame
+    # is rendered; the gap is refused by the Dataset the frames would form
+    if key == "frame_period_ms":
+        monkeypatch.setattr(phantom, "render_frame", None)
     with pytest.raises(ValidationError) as exc:
         generate_phantom(replay_spec(**{key: math.nan}), seed=0)
     assert str(exc.value) == f"{key} must be positive, got nan"
@@ -456,21 +466,31 @@ def test_spec_survives_json_round_trip(tmp_path):
     save_spec(spec, path)
     assert load_spec(path) == spec
     # and via plain dicts, after a JSON round trip
-    assert spec_from_obj(json.loads(json.dumps(spec_to_obj(spec)))) == spec
+    assert from_obj(PhantomSpec, json.loads(json.dumps(to_obj(spec)))) == spec
 
 
 def test_spec_obj_defaults_apply_when_keys_are_missing():
-    spec = spec_from_obj({"frame_height": 48})
+    spec = from_obj(PhantomSpec, {"frame_height": 48})
     assert spec.frame_height == 48
     assert spec.frame_width == PhantomSpec().frame_width
     assert spec.vessels == PhantomSpec().vessels
 
 
-def test_spec_obj_mirrors_the_dataclasses():
-    obj = spec_to_obj(PhantomSpec())
+def test_spec_obj_mirrors_the_dataclasses(tmp_path):
+    obj = to_obj(PhantomSpec())
     assert obj["signal"]["components"] == [{"period_ms": 3800.0, "weight": 1.0}]
     assert obj["in_plane_spacing_mm"] == [1.82, 1.82]
     assert set(obj["vessels"][0]) == set(VesselSpec.__dataclass_fields__)
+    # every JSON input the program writes reads back as the value it was written from
+    dataset, truth = generate_phantom(PhantomSpec(), seed=0)
+    rois = suggested_rois(PhantomSpec(), truth)
+    assert set(to_obj(rois[0])) == {"label", "x", "y", "w", "h"}
+    root = write_dataset(dataset, tmp_path / "dataset")
+    metas = [read_json(root / "dataset.json", lambda obj: from_obj(_DatasetMeta, obj))]
+    metas += [read_json(path, lambda obj: from_obj(_SequenceMeta, obj)) for path in sorted(root.glob("*/seq.json"))]
+    assert len(metas) == 1 + len(dataset.interleaved) + 2
+    for value in [PhantomSpec(), *rois, *metas]:
+        assert from_obj(type(value), json.loads(json.dumps(to_obj(value)))) == value
 
 
 @pytest.mark.parametrize(
@@ -485,13 +505,13 @@ def test_spec_obj_mirrors_the_dataclasses():
             "key 'vessels[0].satellite_offsets[0]' must be a list of 2",
         ),
         ({"signal": {"seed": 1, "phase": 0.5}}, "unknown key 'signal.phase'"),
-        ([1], "the spec must be an object"),
+        ([1], "expected an object, got [1]"),
     ],
     ids=["float-for-int", "bool", "nan", "scalar-spacing", "offset-triple", "unknown-nested", "not-object"],
 )
 def test_spec_obj_errors_name_the_key_path(obj, message):
     with pytest.raises(ValidationError) as exc:
-        spec_from_obj(obj)
+        from_obj(PhantomSpec, obj)
     assert str(exc.value).startswith(message)
 
 
