@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 from . import phantom as phantom_mod
-from .criterion import AGGREGATIONS
 from .errors import DatasetIOError, ProcessingError, ValidationError
 from .evalharness import compare_timing, sweep, write_rates_csv, write_timing_csv
 from .imgcore import load_dataset, read_json, write_dataset, write_json
@@ -76,7 +75,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     _add_matching_flags(p)
     p.add_argument("--threshold", type=float, default=_DEFAULTS.threshold_px)
-    p.add_argument("--aggregation", choices=AGGREGATIONS, default=_DEFAULTS.aggregation)
 
     p = sub.add_parser("sweep", help="reconstruction-rate grid over thresholds/measures/references/methods")
     p.add_argument("--dataset", required=True)
@@ -117,7 +115,6 @@ def _config_from_args(args) -> ReconstructionConfig:
         threshold_px=getattr(args, "threshold", _DEFAULTS.threshold_px),
         search_radius=args.search_radius,
         min_score=args.min_score,
-        aggregation=getattr(args, "aggregation", _DEFAULTS.aggregation),
     )
 
 
@@ -189,8 +186,8 @@ def main(argv=None) -> int:
     except (ValidationError, DatasetIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ProcessingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ProcessingError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PROCESSING
 
 

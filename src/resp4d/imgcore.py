@@ -52,6 +52,9 @@ class Frame:
             raise ValidationError(f"frame pixels must be uint16, got {self.pixels.dtype}")
         if self.kind not in FRAME_KINDS:
             raise ValidationError(f"unknown frame kind {self.kind!r}")
+        for key in ("timestamp_ms", "slice_position_mm"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValidationError(f"frame {key} must be finite, got {getattr(self, key)}")
 
 
 def _check_uniform_dims(frames: list[Frame], label: str) -> None:
@@ -143,6 +146,9 @@ class Dataset:
         check_positive("slice_gap_mm", self.slice_gap_mm)
         if not self.interleaved:
             raise ValidationError("dataset has no interleaved sequences")
+        periods = self.reference_1.frame_period_ms, self.reference_2.frame_period_ms
+        if periods[0] != periods[1]:  # dataset.json stores one period
+            raise ValidationError(f"dataset: references disagree on frame_period_ms {list(periods)}")
         shapes = {self.reference_1.frames[0].pixels.shape, self.reference_2.frames[0].pixels.shape}
         shapes |= {s.frames[0].pixels.shape for s in self.interleaved}
         if len(shapes) > 1:

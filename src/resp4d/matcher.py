@@ -198,17 +198,10 @@ def _window_sums(crop: np.ndarray, th: int, tw: int) -> tuple[np.ndarray, np.nda
     return window(ii1), window(ii2)
 
 
-def response_map(image, template: Template, measure: str = CCOEFF_NORMED,
-                 region: SearchRegion | None = None) -> np.ndarray:
-    """Similarity score for every allowed placement of ``template``.
-
-    Entry ``[j, i]`` scores the placement ``(x0 + i, y0 + j)`` where
-    ``(x0, _, y0, _) = placement_bounds(...)``; without a region that is simply
-    placement ``(i, j)``.
-    """
+def response_map(image, template: Template, measure: str = CCOEFF_NORMED) -> np.ndarray:
+    """Similarity score for every placement of ``template``: entry ``[j, i]`` scores placement ``(i, j)``."""
     img = _as_image(image)
-    bounds = placement_bounds(img.shape, template.pixels.shape, region)
-    return match_scores(img, [template], measure, bounds)[0]
+    return match_scores(img, [template], measure, placement_bounds(img.shape, template.pixels.shape))[0]
 
 
 def match_scores(image, templates: list[Template], measure: str,
@@ -311,9 +304,9 @@ def _normalize(cross, s1, s2, sums, energies, n: int) -> np.ndarray:
     return np.where(flat, 0.0, num / np.sqrt(energies * np.where(flat, 1.0, patch_energy)))
 
 
-def _cap_hits(peaks, score_cap: float):
-    """Which peaks attain ``score_cap``: exact lattice matches, kept unrefined and scored at the cap."""
-    return peaks >= score_cap - _CAP_SLACK
+def _cap_hits(peaks):
+    """Which peaks attain ``_SCORE_CAP``: exact lattice matches, kept unrefined and scored at the cap."""
+    return peaks >= _SCORE_CAP - _CAP_SLACK
 
 
 def _parabolic_offset(a: float, b: float, c: float) -> float:
@@ -331,15 +324,15 @@ def _parabolic_offsets(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarra
     return np.clip(offset, -0.5, 0.5)
 
 
-def find_peak_subpixel(response: np.ndarray, score_cap: float | None = None) -> MatchResult:
+def find_peak_subpixel(response: np.ndarray) -> MatchResult:
     """Locate the response maximum and refine it to subpixel precision.
 
     The integer argmax (ties: smallest row-major index) is refined
     independently per axis by a parabolic fit through the peak and its two
     neighbours.  The integer coordinate is kept for an axis at the response
-    border or when the parabola degenerates.  With ``score_cap`` given, a
-    peak that attains the cap (an exact lattice match; the fitted vertex
-    would exceed the attainable score) is not refined and scores the cap.
+    border or when the parabola degenerates.  A peak that attains the cap of
+    both measures, 1 (an exact lattice match; the fitted vertex would exceed
+    the attainable score), is not refined and scores the cap.
     """
     resp = np.asarray(response, dtype=np.float64)
     if resp.ndim != 2 or resp.size == 0:
@@ -348,8 +341,8 @@ def find_peak_subpixel(response: np.ndarray, score_cap: float | None = None) -> 
     iy, ix = divmod(int(np.argmax(resp)), cols)
     peak = float(resp[iy, ix])
     x, y = float(ix), float(iy)
-    if score_cap is not None and _cap_hits(peak, score_cap):
-        return MatchResult(position=(x, y), score=float(score_cap))
+    if _cap_hits(peak):
+        return MatchResult(position=(x, y), score=_SCORE_CAP)
     if 0 < ix < cols - 1:
         x += _parabolic_offset(float(resp[iy, ix - 1]), peak, float(resp[iy, ix + 1]))
     if 0 < iy < rows - 1:
@@ -357,7 +350,7 @@ def find_peak_subpixel(response: np.ndarray, score_cap: float | None = None) -> 
     return MatchResult(position=(x, y), score=peak)
 
 
-def pick_peaks(response: np.ndarray, boxes: np.ndarray, score_cap: float | None = None):
+def pick_peaks(response: np.ndarray, boxes: np.ndarray):
     """``find_peak_subpixel`` of ``response[r]`` cut to ``boxes[r]``, for all R at once.
 
     ``response`` is ``(R, rows, cols)`` and ``boxes`` ``(R, 4)`` inclusive
@@ -375,13 +368,13 @@ def pick_peaks(response: np.ndarray, boxes: np.ndarray, score_cap: float | None 
     iy, ix = np.divmod(masked.reshape(n, -1).argmax(axis=1), cols)
     r = np.arange(n)
     peaks = response[r, iy, ix]
-    hits = np.zeros(n, dtype=bool) if score_cap is None else _cap_hits(peaks, score_cap)
+    hits = _cap_hits(peaks)
     left, right = response[r, iy, np.maximum(ix - 1, 0)], response[r, iy, np.minimum(ix + 1, cols - 1)]
     up, down = response[r, np.maximum(iy - 1, 0), ix], response[r, np.minimum(iy + 1, rows - 1), ix]
     dx = np.where(~hits & (x0 < ix) & (ix < x1), _parabolic_offsets(left, peaks, right), 0.0)
     dy = np.where(~hits & (y0 < iy) & (iy < y1), _parabolic_offsets(up, peaks, down), 0.0)
     positions = np.stack([(ix - x0) + dx, (iy - y0) + dy], axis=1)
-    return positions, peaks if score_cap is None else np.where(hits, score_cap, peaks)
+    return positions, np.where(hits, _SCORE_CAP, peaks)
 
 
 def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
@@ -449,10 +442,10 @@ def _best_in_boxes(img: np.ndarray, templates: list[Template], boxes: np.ndarray
     _, ux1, _, uy1 = boxes.max(axis=0).tolist()
     response = match_scores(img, templates, measure, (ux0, ux1, uy0, uy1))
     if len(templates) == 1:
-        peak = find_peak_subpixel(response[0], score_cap=_SCORE_CAP)
+        peak = find_peak_subpixel(response[0])
         return np.array([peak.position]) + (ux0, uy0), np.array([peak.score])
     boxes = np.broadcast_to(boxes, (len(templates), 4))
-    positions, scores = pick_peaks(response, boxes - (ux0, ux0, uy0, uy0), score_cap=_SCORE_CAP)
+    positions, scores = pick_peaks(response, boxes - (ux0, ux0, uy0, uy0))
     return positions + boxes[:, [0, 2]], scores
 
 
@@ -467,5 +460,5 @@ def _best_in_stack(imgs: list[np.ndarray], template: Template, boxes: np.ndarray
     corners = np.minimum(boxes[:, [0, 2]], (iw - tw - sx, ih - th - sy))
     crops = np.stack([img[y : y + sy + th, x : x + sx + tw] for img, (x, y) in zip(imgs, corners.tolist())])
     response = match_scores(crops, [template], measure, (0, sx, 0, sy))[:, 0]
-    positions, scores = pick_peaks(response, boxes - corners[:, [0, 0, 1, 1]], score_cap=_SCORE_CAP)
+    positions, scores = pick_peaks(response, boxes - corners[:, [0, 0, 1, 1]])
     return (positions + boxes[:, [0, 2]])[:, None], scores[:, None]

@@ -185,7 +185,9 @@ def _validate(spec: PhantomSpec, seed: int) -> None:
         raise ValidationError("signal.components: the breathing signal needs a component of positive weight")
     if not spec.noise_std >= 0:
         raise ValidationError(f"noise_std must be non-negative, got {spec.noise_std}")
-    check_positive("frame_period_ms", spec.frame_period_ms)  # bounds the displacement below, before rendering
+    # before rendering: the period bounds the displacement below, the gap places every data frame
+    check_positive("frame_period_ms", spec.frame_period_ms)
+    check_positive("slice_gap_mm", spec.slice_gap_mm)
     for key, value in (("seed", seed), ("signal.seed", spec.signal.seed)):
         if value < 0:  # numpy seeds only from non-negative integers
             raise ValidationError(f"{key} must be non-negative, got {value}")
@@ -225,8 +227,8 @@ def render_frame(
 ) -> np.ndarray:
     """Render (cx, cy, sigma_x, sigma_y, amplitude) Gaussian blobs to uint16."""
     h, w = shape
+    img = np.full(shape, float(background))  # first, so a shape too large to hold fails before the grids
     yy, xx = np.ogrid[0:h, 0:w]  # x terms on a (1, w) row, y terms on an (h, 1) column
-    img = np.full(shape, float(background))
     for cx, cy, sx, sy, amp in blobs:
         img += amp * np.exp(-(((xx - cx) ** 2) / (2.0 * sx * sx) + ((yy - cy) ** 2) / (2.0 * sy * sy)))
     if noise_std > 0.0:
@@ -337,10 +339,8 @@ def suggested_rois(spec: PhantomSpec, truth: GroundTruth) -> RoiSpec:
 def oracle_matches(
     truth: GroundTruth,
     threshold: float,
-    aggregation: str = "sum",
-    reference: str = "ref1",
 ) -> dict[tuple[int, int, int], tuple[bool, float]]:
-    """Brute-force expected decisions from true positions.
+    """Brute-force expected decisions against reference 1 from true positions.
 
     Keys are (sequence_index, reference_timepoint, data_frame_ordinal) with
     the ordinal counted inside the interleaved sequence; values are
@@ -348,9 +348,7 @@ def oracle_matches(
     ``math.hypot`` over Python floats, so it shares no arithmetic with the
     pipeline.
     """
-    if aggregation not in ("sum", "mean"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    ref = truth.nav_positions[reference].tolist()
+    ref = truth.nav_positions["ref1"].tolist()
     n_ref = len(ref)
     n_vessels = len(ref[0])
     out: dict[tuple[int, int, int], tuple[bool, float]] = {}
@@ -367,8 +365,7 @@ def oracle_matches(
                     total += math.hypot(
                         ref[i + 1][v][0] - nav[k + 1][v][0], ref[i + 1][v][1] - nav[k + 1][v][1]
                     )
-                value = total if aggregation == "sum" else total / (2 * n_vessels)
-                out[(s, i, 2 * k + 1)] = (value < threshold, total)
+                out[(s, i, 2 * k + 1)] = (total < threshold, total)
     return out
 
 

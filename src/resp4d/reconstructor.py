@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criterion import AGGREGATIONS, AGG_SUM, decide
+from .criterion import decide
 from .errors import ValidationError
 from .imgcore import Dataset, quantize_u16, write_json
 from .matcher import MEASURES, CCOEFF_NORMED, Template
@@ -50,7 +50,6 @@ class ReconstructionConfig:
     threshold_px: float = 1.0
     search_radius: int | None = DEFAULT_SEARCH_RADIUS  # None searches the full frame
     min_score: float = DEFAULT_MIN_SCORE
-    aggregation: str = AGG_SUM
 
     def __post_init__(self) -> None:
         if self.reference not in (1, 2):
@@ -65,8 +64,6 @@ class ReconstructionConfig:
             raise ValidationError(f"min score must be finite, got {self.min_score}")
         if self.search_radius is not None and self.search_radius < 1:
             raise ValidationError(f"search radius must be >= 1 or None, got {self.search_radius}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValidationError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
 
 
 @dataclass
@@ -136,12 +133,11 @@ def _filled_cells(accepted: list[np.ndarray]) -> np.ndarray:
     return np.stack([a.any(axis=1) for a in accepted], axis=1)
 
 
-def average_bin(frames) -> np.ndarray:
-    """Pixelwise double-precision mean of a non-empty list of frames."""
+def average_bin(frames: list[np.ndarray]) -> np.ndarray:
+    """Pixelwise double-precision mean of a non-empty list of same-shape pixel arrays."""
     if not frames:
         raise ValueError("cannot average an empty bin")
-    arrays = [np.asarray(getattr(f, "pixels", f), dtype=np.float64) for f in frames]
-    return np.mean(np.stack(arrays), axis=0)
+    return np.mean(np.stack(frames), axis=0, dtype=np.float64)
 
 
 def track_configured(
@@ -164,9 +160,8 @@ def displacement_tables(
 
     Returns one table ``D[r, n, v]`` per interleaved sequence, the distance of
     vessel ``v`` between reference navigator ``r`` and the sequence's
-    navigator ``n``, plus the number of widened searches.  The threshold and
-    aggregation play no part here, so one set of tables serves every
-    threshold.
+    navigator ``n``, plus the number of widened searches.  The threshold
+    plays no part here, so one set of tables serves every threshold.
     """
     if len(dataset.reference(config.reference).frames) < 3:
         raise ValidationError("reference sequence too short: no eligible timepoints")
@@ -197,7 +192,7 @@ def decide_all(
     dataset: Dataset, tables: list[np.ndarray], widened: int, config: ReconstructionConfig
 ) -> ReconstructionReport:
     """Apply the acceptance rule to every sequence's table; nothing is averaged."""
-    totals, accepted = zip(*(decide(t, config.threshold_px, config.aggregation) for t in tables))
+    totals, accepted = zip(*(decide(t, config.threshold_px) for t in tables))
     return ReconstructionReport(
         config=config,
         sequence_slice_mm={s: float(seq.data_slice_position_mm) for s, seq in enumerate(dataset.interleaved)},

@@ -196,6 +196,18 @@ def test_reconstruct_twice_is_bit_identical(workdir, capsys):
         assert (root / "rec_a" / name).read_bytes() == (root / "rec_b" / name).read_bytes()
 
 
+def test_unrenderable_phantom_ends_in_one_error_line(tmp_path, capsys):
+    # render_frame allocates the frame before its coordinate grids, so numpy
+    # refuses a 71.1 PiB frame before it allocates anything; never try a size
+    # this could actually attempt
+    (tmp_path / "spec.json").write_text(json.dumps({"frame_height": 100_000_000, "frame_width": 100_000_000}))
+    out = tmp_path / "out"
+    assert main(["phantom", "--out", str(out), "--spec", str(tmp_path / "spec.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_a_usage_error(workdir):
     _, dataset_dir = workdir
     with pytest.raises(SystemExit) as exc:
@@ -232,6 +244,22 @@ def test_jobs_flag_is_gone(workdir):
         )
     assert exc.value.code == 64
     assert not (root / "rec_jobs").exists()
+
+
+def test_aggregation_flag_is_gone(workdir):
+    root, dataset_dir = workdir
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "reconstruct",
+                "--dataset", str(dataset_dir),
+                "--rois", str(dataset_dir / "rois.json"),
+                "--out", str(root / "rec_aggregation"),
+                "--aggregation", "sum",
+            ]
+        )
+    assert exc.value.code == 64
+    assert not (root / "rec_aggregation").exists()
 
 
 def test_missing_rois_file_fails_validation(workdir, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from resp4d.criterion import AGG_MEAN, AGG_SUM, decide
+from resp4d.criterion import decide
 from resp4d.imgcore import DATA, NAVIGATOR, Dataset, Frame, InterleavedSequence, ReferenceSequence
 from resp4d.phantom import render_frame
 from resp4d.reconstructor import ReconstructionConfig, displacement_tables
@@ -52,8 +52,8 @@ def test_pair_displacement_3_4_5():
     assert np.all(same == 0.0)
 
 
-def _decide_one(before, after, threshold, agg=AGG_SUM, n_vessels=1):
-    totals, accepted = decide(_one_pair(before, after, n_vessels), threshold, agg)
+def _decide_one(before, after, threshold):
+    totals, accepted = decide(_one_pair(before, after), threshold)
     assert totals.shape == accepted.shape == (1, 1)
     return float(totals[0, 0]), bool(accepted[0, 0])
 
@@ -91,22 +91,11 @@ def test_negative_threshold_rejected():
 
 
 def test_aggregate_values():
-    table = _one_pair(2.0, 2.0, n_vessels=2)  # total 8 over 4 vessel sides
-    assert not decide(table, 8.0, AGG_SUM)[1].any()
-    assert decide(table, 8.0 + 1e-9, AGG_SUM)[1].all()
-    assert not decide(table, 2.0, AGG_MEAN)[1].any()
-    assert decide(table, 2.0 + 1e-9, AGG_MEAN)[1].all()
-    with pytest.raises(ValueError, match="aggregation"):
-        decide(table, 1.0, "median")
-
-
-def test_mean_aggregation_divides_by_both_sides():
-    # two vessels, two sides: mean = total / 4
-    total, accepted = _decide_one(2.0, 2.0, threshold=2.5, agg=AGG_MEAN, n_vessels=2)
-    assert total == pytest.approx(8.0)  # totals stay sums under either aggregation
-    assert accepted  # mean 2.0 < 2.5 even though the sum is 8
-    assert not _decide_one(2.0, 2.0, threshold=2.0, agg=AGG_MEAN, n_vessels=2)[1]
-    assert not _decide_one(2.0, 2.0, threshold=2.5, agg=AGG_SUM, n_vessels=2)[1]
+    # total 8 over 4 vessel sides: a per-side mean m is the threshold 2 * V * m
+    table = _one_pair(2.0, 2.0, n_vessels=2)
+    assert decide(table, 8.0)[0].tolist() == [[8.0]]
+    assert not decide(table, 8.0)[1].any()
+    assert decide(table, 8.0 + 1e-9)[1].all()
 
 
 # --- properties -------------------------------------------------------------
@@ -121,10 +110,9 @@ def tables(draw, min_vessels=1):
 
 
 @settings(max_examples=80, deadline=None)
-@given(table=tables(), threshold=st.floats(0.0, 200.0), mean=st.booleans())
-def test_rule_matches_plain_python_loop(table, threshold, mean):
-    agg = AGG_MEAN if mean else AGG_SUM
-    totals, accepted = decide(table, threshold, agg)
+@given(table=tables(), threshold=st.floats(0.0, 200.0))
+def test_rule_matches_plain_python_loop(table, threshold):
+    totals, accepted = decide(table, threshold)
     n_ref, n_navs, n_vessels = table.shape
     assert totals.shape == accepted.shape == (n_ref - 2, n_navs - 1)
     for i in range(1, n_ref - 1):
@@ -132,19 +120,17 @@ def test_rule_matches_plain_python_loop(table, threshold, mean):
             total = 0.0
             for v in range(n_vessels):
                 total += float(table[i - 1, k, v]) + float(table[i + 1, k + 1, v])
-            value = total / (2 * n_vessels) if mean else total
             assert totals[i - 1, k] == pytest.approx(total, rel=1e-12, abs=1e-12)
-            if abs(value - threshold) > 1e-9 * max(1.0, threshold):
-                assert bool(accepted[i - 1, k]) == (value < threshold)
+            if abs(total - threshold) > 1e-9 * max(1.0, threshold):
+                assert bool(accepted[i - 1, k]) == (total < threshold)
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=tables(), t1=st.floats(0.0, 300.0), t2=st.floats(0.0, 300.0), mean=st.booleans())
-def test_acceptance_monotone_in_threshold(table, t1, t2, mean):
+@given(table=tables(), t1=st.floats(0.0, 300.0), t2=st.floats(0.0, 300.0))
+def test_acceptance_monotone_in_threshold(table, t1, t2):
     lo, hi = sorted((t1, t2))
-    agg = AGG_MEAN if mean else AGG_SUM
-    _, at_lo = decide(table, lo, agg)
-    _, at_hi = decide(table, hi, agg)
+    _, at_lo = decide(table, lo)
+    _, at_hi = decide(table, hi)
     assert not np.any(at_lo & ~at_hi)
 
 

@@ -132,6 +132,36 @@ def test_reference_sequence_needs_a_positive_frame_period(small):
     assert str(exc.value) == "frame_period_ms must be positive, got -200.0"
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        (NAVIGATOR, "timestamp_ms", math.nan),
+        (DATA, "slice_position_mm", math.inf),
+        (NAVIGATOR, "slice_position_mm", math.nan),
+        (DATA, "timestamp_ms", -math.inf),
+    ],
+    ids=["timestamp-nan", "data-position-inf", "navigator-position-nan", "timestamp-minus-inf"],
+)
+def test_frame_metadata_must_be_finite(kind, key, value):
+    # a NaN compares False both ways, so sequences could not catch it later
+    meta = {"timestamp_ms": 200.0, "slice_position_mm": 0.0, key: value}
+    with pytest.raises(ValidationError) as exc:
+        Frame(pixels=np.zeros((8, 8), dtype=np.uint16), kind=kind, **meta)
+    assert str(exc.value) == f"frame {key} must be finite, got {value}"
+
+
+def test_references_share_one_frame_period(small, tmp_path):
+    # dataset.json stores one period, so two that differ could not survive a round trip
+    ref1 = replace(small.reference_1, frame_period_ms=1e6)
+    ref2 = replace(small.reference_2, frame_period_ms=300.0)
+    with pytest.raises(ValidationError) as exc:
+        replace(small, reference_1=ref1, reference_2=ref2)
+    assert str(exc.value) == "dataset: references disagree on frame_period_ms [1000000.0, 300.0]"
+    same = replace(small, reference_1=replace(ref1, frame_period_ms=300.0), reference_2=ref2)
+    loaded = load_dataset(write_dataset(same, tmp_path / "ds"))
+    assert loaded.reference_1.frame_period_ms == loaded.reference_2.frame_period_ms == 300.0
+
+
 def test_navigator_and_data_views():
     seq = _tiny_interleaved(n_data=3)
     assert [f.kind for f in seq.navigators()] == [NAVIGATOR] * 4

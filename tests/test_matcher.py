@@ -132,7 +132,9 @@ def test_region_search_keeps_the_spatial_kernel(measure, spectral_calls):
     tpl = cut_template(img, 20, 15, 8, 6)
     full = response_map(img, tpl, measure)
     spectral_calls.clear()
-    region = response_map(img, tpl, measure, SearchRegion(center=(20.0, 15.0), radius=5))
+    bounds = placement_bounds(img.shape, (6, 8), SearchRegion(center=(20.0, 15.0), radius=5))
+    assert bounds == (15, 25, 10, 20)
+    region = match_scores(img, [tpl], measure, bounds)[0]
     assert not spectral_calls
     np.testing.assert_allclose(region, full[10:21, 15:26], rtol=0, atol=1e-12)
 
@@ -311,14 +313,15 @@ def test_symmetric_triple_refines_to_zero_offset():
 
 
 def test_asymmetric_triple_matches_parabola_vertex():
-    # cross-check the closed form against an independent quadratic fit
-    a, b, c = 0.6, 1.0, 0.8
+    # cross-check the closed form against an independent quadratic fit; the
+    # peak stays below the score cap, which would keep the lattice point
+    a, b, c = 0.5, 0.9, 0.7
     coeffs = np.polyfit([-1.0, 0.0, 1.0], [a, b, c], 2)
     vertex = -coeffs[1] / (2.0 * coeffs[0])
     assert vertex == pytest.approx(1.0 / 6.0, abs=1e-12)
     res = find_peak_subpixel(_resp_with_peak(a, b, c))
     assert res.position[0] == pytest.approx(1.0 + vertex, abs=1e-12)
-    assert res.score == pytest.approx(1.0)
+    assert res.score == pytest.approx(0.9)
 
 
 def test_tie_breaks_to_smallest_row_major_index():
@@ -330,7 +333,7 @@ def test_tie_breaks_to_smallest_row_major_index():
 
 def test_border_peak_keeps_integer_coordinate():
     resp = np.zeros((3, 5))
-    resp[0, 2] = 1.0
+    resp[0, 2] = 0.9  # below the score cap, so the peak is refined
     resp[1, 2] = 0.4
     resp[0, 1] = 0.5
     resp[0, 3] = 0.2
@@ -362,8 +365,8 @@ def test_score_cap_skips_refinement_on_exact_match():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), cap=st.sampled_from([None, 1.0]))
-def test_vectorized_picker_equals_scalar_picker_per_box(seed, cap):
+@given(seed=st.integers(0, 2**31 - 1))
+def test_vectorized_picker_equals_scalar_picker_per_box(seed):
     """pick_peaks gives, bit for bit, find_peak_subpixel of every box's cut."""
     rng = np.random.default_rng(seed)
     n, rows, cols = 9, int(rng.integers(1, 12)), int(rng.integers(1, 12))
@@ -374,20 +377,20 @@ def test_vectorized_picker_equals_scalar_picker_per_box(seed, cap):
     y = np.sort(rng.integers(0, rows, size=(n, 2)), axis=1)
     x[0], y[0] = (0, cols - 1), (0, rows - 1)  # one box is the whole response
     boxes = np.stack([x[:, 0], x[:, 1], y[:, 0], y[:, 1]], axis=1)
-    positions, scores = pick_peaks(response, boxes, score_cap=cap)
+    positions, scores = pick_peaks(response, boxes)
     for r, (x0, x1, y0, y1) in enumerate(boxes):
-        want = find_peak_subpixel(response[r, y0 : y1 + 1, x0 : x1 + 1], score_cap=cap)
+        want = find_peak_subpixel(response[r, y0 : y1 + 1, x0 : x1 + 1])
         assert (positions[r, 0], positions[r, 1]) == want.position
         assert scores[r] == want.score
 
 
 def test_cap_hit_reports_the_cap_and_keeps_the_lattice_point():
     resp = _resp_with_peak(0.6, 1.0 - 1e-12, 0.8)
-    res = find_peak_subpixel(resp, score_cap=1.0)
+    res = find_peak_subpixel(resp)
     assert res.position == (1.0, 1.0) and res.score == 1.0
-    positions, scores = pick_peaks(resp[None], np.array([[0, 2, 0, 2]]), score_cap=1.0)
+    positions, scores = pick_peaks(resp[None], np.array([[0, 2, 0, 2]]))
     assert positions.tolist() == [[1.0, 1.0]] and scores.tolist() == [1.0]
-    below = find_peak_subpixel(_resp_with_peak(0.6, 1.0 - 1e-6, 0.8), score_cap=1.0)
+    below = find_peak_subpixel(_resp_with_peak(0.6, 1.0 - 1e-6, 0.8))
     assert below.position[0] != 1.0 and below.score == 1.0 - 1e-6
 
 

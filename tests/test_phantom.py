@@ -134,7 +134,7 @@ def _per_frame_reference(spec, seed):
     return out
 
 
-def _indexed_oracle(truth, threshold, aggregation):
+def _indexed_oracle(truth, threshold):
     """``oracle_matches`` as first written, indexing the numpy truth arrays."""
     ref = truth.nav_positions["ref1"]
     n_vessels = ref.shape[1]
@@ -149,8 +149,7 @@ def _indexed_oracle(truth, threshold, aggregation):
                     total += math.hypot(
                         ref[i + 1, v, 0] - nav[k + 1, v, 0], ref[i + 1, v, 1] - nav[k + 1, v, 1]
                     )
-                value = total if aggregation == "sum" else total / (2 * n_vessels)
-                out[(s, i, 2 * k + 1)] = (value < threshold, total)
+                out[(s, i, 2 * k + 1)] = (total < threshold, total)
     return out
 
 
@@ -170,9 +169,9 @@ def test_renderer_reproduces_the_per_frame_arithmetic_bit_for_bit():
         navs = [row for (seq, f), row in zip(got, expected) if seq == name and f.kind == NAVIGATOR]
         assert np.array_equal(truth.nav_positions[name], np.asarray([row[3] for row in navs]))
         assert np.array_equal(truth.nav_states[name], np.asarray([row[4] for row in navs]))
-    for threshold, aggregation in ((1.0, "sum"), (2.0, "mean"), (4.0, "sum")):
-        oracle = oracle_matches(truth, threshold, aggregation)
-        assert oracle == _indexed_oracle(truth, threshold, aggregation)
+    for threshold in (1.0, 2.0, 4.0):
+        oracle = oracle_matches(truth, threshold)
+        assert oracle == _indexed_oracle(truth, threshold)
         assert 0 < sum(accepted for accepted, _ in oracle.values()) < len(oracle)
 
 
@@ -291,11 +290,11 @@ def test_non_finite_spacing_is_rejected(spacing):
 
 @pytest.mark.parametrize("key", ["frame_period_ms", "slice_gap_mm"])
 def test_nan_timing_and_gap_are_rejected(key, monkeypatch):
-    # a JSON spec cannot carry NaN; a spec built in Python can.  The frame
-    # period bounds the displacement, so it is refused before a single frame
-    # is rendered; the gap is refused by the Dataset the frames would form
-    if key == "frame_period_ms":
-        monkeypatch.setattr(phantom, "render_frame", None)
+    # a JSON spec cannot carry NaN; a spec built in Python can.  Both are
+    # refused before a single frame is rendered: the frame period bounds the
+    # displacement, and the gap places the data frames, whose slice position
+    # must be finite
+    monkeypatch.setattr(phantom, "render_frame", None)
     with pytest.raises(ValidationError) as exc:
         generate_phantom(replay_spec(**{key: math.nan}), seed=0)
     assert str(exc.value) == f"{key} must be positive, got nan"
@@ -389,24 +388,6 @@ def test_oracle_matches_handcrafted_geometry():
     # strict inequality at the boundary
     at_limit = oracle_matches(truth, threshold=10.0)
     assert at_limit[(0, 1, 1)] == (False, 10.0)
-
-
-def test_oracle_mean_aggregation_matches_sum_totals(replay):
-    _, _, truth, _ = replay
-    by_sum = oracle_matches(truth, threshold=4.0, aggregation="sum")
-    n_vessels = len(truth.labels)
-    by_mean = oracle_matches(truth, threshold=4.0 / (2 * n_vessels), aggregation="mean")
-    assert set(by_sum) == set(by_mean)
-    for key, (accepted, total) in by_sum.items():
-        mean_accepted, mean_total = by_mean[key]
-        assert mean_accepted == accepted
-        assert mean_total == pytest.approx(total, abs=1e-9)
-
-
-def test_oracle_rejects_unknown_aggregation(replay):
-    _, _, truth, _ = replay
-    with pytest.raises(ValueError, match="aggregation"):
-        oracle_matches(truth, threshold=1.0, aggregation="median")
 
 
 def test_ground_truth_csv_lists_every_navigator(replay, tmp_path):
