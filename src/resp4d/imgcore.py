@@ -153,6 +153,15 @@ class Dataset:
         shapes |= {s.frames[0].pixels.shape for s in self.interleaved}
         if len(shapes) > 1:
             raise ValidationError(f"dataset: sequences disagree on frame dimensions {sorted(shapes)}")
+        # every navigator images one anatomy: tracking compares their positions
+        reference_mm = [r.frames[0].slice_position_mm for r in (self.reference_1, self.reference_2)]
+        for s, seq in enumerate(self.interleaved):
+            navigator_mm = seq.frames[0].slice_position_mm
+            if any(mm != navigator_mm for mm in reference_mm):
+                raise ValidationError(
+                    f"dataset: interleaved sequence {s} has its navigators at {navigator_mm} mm, "
+                    f"the references at {reference_mm} mm"
+                )
         positions = [s.data_slice_position_mm for s in self.interleaved]
         if len(set(positions)) != len(positions):
             raise ValidationError(f"dataset: duplicate data slice positions {positions}")

@@ -21,8 +21,21 @@ domain (the template's spectrum is kept on the template); one template over
 a smaller box (a crop, or a stack of crops) is a Toeplitz product, each row
 of placements being the ``th`` image rows it covers times one banded
 ``(th * w, ow)`` matrix that holds every horizontal shift of the template;
-R > 1 templates are one matrix product of an im2col copy of the windows with
-the stacked ``(n, R)`` template matrix, taken in bands of placements.
+R > 1 templates are products of an im2col copy of the windows with the
+stacked ``(R, n)`` template matrix, taken in bands of placements.
+
+R > 1 templates in one box are found by a bounded search that gives the
+result of scoring all of them everywhere (``_bounded_peaks``).  Divided by
+its norm, each kernel is a unit vector, and so is each patch, so two
+templates' scores at any placement differ by at most the distance between
+their unit kernels.  One pivot template is scored over the whole box, every
+template at the pivot's best in its own region, and then every template
+only where the pivot's score leaves room for some template's best.  This
+prunes when the templates share one appearance, as an updating chain's
+reference templates do (distances up to 0.02, under 1 % of the placements
+scored).  When the templates spread more than ``_SPREAD_MAX`` from the
+pivot, or more than ``_PRUNE_SHARE`` of the placements remain candidates,
+every template is scored at every placement instead.
 
 ``match_templates`` is the one search: S images by R templates, each in its
 own region or over the whole frame, widening weak regional bests.
@@ -33,7 +46,7 @@ own region or over the whole frame, widening weak regional bests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,6 +69,16 @@ _SCORE_CAP = 1.0
 # placements per band of the im2col copy when several templates share a box:
 # bounds the copy at a few hundred kB for the template sizes in use
 _BAND_PLACEMENTS = 512
+# the bounded search of R > 1 templates (_bounded_peaks).  How far below its
+# bound a pivot score may round and still count as a candidate; the largest
+# distance of a unit kernel from the pivot's, and the share of the union's
+# placements left as candidates, beyond which every template is scored
+# everywhere instead.  Measured: the chains of one vessel appearance spread
+# up to 0.02 and leave under 1 % of the placements; the split-pair phantoms
+# spread 0.66-0.98 and would leave 20-100 %.
+_BOUND_SLACK = 1e-3
+_SPREAD_MAX = 0.25
+_PRUNE_SHARE = 0.25
 
 
 @dataclass
@@ -204,6 +227,73 @@ def response_map(image, template: Template, measure: str = CCOEFF_NORMED) -> np.
     return match_scores(img, [template], measure, placement_bounds(img.shape, template.pixels.shape))[0]
 
 
+@dataclass
+class _Bank:
+    """R same-shape templates checked for one measure, stacked once per search.
+
+    For R > 1, ``kernels`` is the ``(R, n)`` matrix of the measure's kernels
+    (zero-mean templates for ``ccoeff_normed``, raw ones for
+    ``ccorr_normed``), ``sums`` (None for ``ccorr_normed``) and ``energies``
+    are ``(R, 1)``, and ``pivot`` and ``distances`` serve ``_bounded_peaks``;
+    ``pivot`` is None when the templates spread too far for it to prune.
+    """
+
+    templates: list[Template]
+    measure: str
+    kernels: np.ndarray | None = None
+    sums: np.ndarray | None = None
+    energies: np.ndarray | None = None
+    pivot: Template | None = None
+    distances: np.ndarray | None = None
+
+    def take(self, rows) -> "_Bank":
+        """The bank of templates ``rows``, keeping the pivot."""
+        if len(rows) == 1:
+            return _Bank([self.templates[rows[0]]], self.measure)
+        sums = None if self.sums is None else self.sums[rows]
+        return replace(self, templates=[self.templates[r] for r in rows], kernels=self.kernels[rows],
+                       sums=sums, energies=self.energies[rows], distances=self.distances[rows])
+
+
+def _terms(tpl: Template, measure: str):
+    """``tpl``'s kernel, kernel sum (None for ``ccorr_normed``) and kernel energy under ``measure``."""
+    if measure == CCOEFF_NORMED:
+        return tpl._zero_mean, tpl._sum_zero_mean, tpl._energy_zero_mean
+    return tpl.pixels, None, tpl._energy_raw
+
+
+def _bank(templates: list[Template], measure: str) -> _Bank:
+    """Check R same-shape templates for ``measure`` and stack them when R > 1.
+
+    The pivot is the template whose largest distance to the others, between
+    unit kernels, is smallest: the bounded search loosens its bound by it.
+    """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+    shape = templates[0].pixels.shape
+    for tpl in templates:
+        if tpl.pixels.shape != shape:
+            raise ValueError(f"templates differ in shape: {tpl.pixels.shape} vs {shape}")
+        if template_degenerate(tpl, measure):
+            raise DegenerateTemplateError(
+                "constant template has zero variance and no ccoeff_normed response"
+                if measure == CCOEFF_NORMED
+                else "all-zero template has no ccorr_normed response"
+            )
+    if len(templates) == 1:
+        return _Bank(templates, measure)
+    kernels, sums, energies = zip(*(_terms(tpl, measure) for tpl in templates))
+    kernels = np.stack([k.ravel() for k in kernels])
+    energies = np.array(energies)[:, None]
+    unit = kernels / np.sqrt(energies)
+    q = int((unit @ unit.T).min(axis=1).argmax())
+    distances = np.sqrt(((unit - unit[q]) ** 2).sum(axis=1))
+    return _Bank(
+        templates, measure, kernels, None if sums[0] is None else np.array(sums)[:, None], energies,
+        templates[q] if distances.max() <= _SPREAD_MAX else None, distances,
+    )
+
+
 def match_scores(image, templates: list[Template], measure: str,
                  bounds: tuple[int, int, int, int]) -> np.ndarray:
     """Scores of R same-shape templates over one placement box, shape ``(R, oh, ow)``.
@@ -216,75 +306,80 @@ def match_scores(image, templates: list[Template], measure: str,
     template covers the whole of a 2D frame, a Toeplitz product for one
     template over a smaller box, and banded im2col products for R > 1.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+    bank = _bank(templates, measure)
     img = _as_image(image, stack=len(templates) == 1)
-    th, tw = templates[0].pixels.shape
-    for tpl in templates:
-        if tpl.pixels.shape != (th, tw):
-            raise ValueError(f"templates differ in shape: {tpl.pixels.shape} vs {(th, tw)}")
-        if template_degenerate(tpl, measure):
-            raise DegenerateTemplateError(
-                "constant template has zero variance and no ccoeff_normed response"
-                if measure == CCOEFF_NORMED
-                else "all-zero template has no ccorr_normed response"
-            )
-    x0, x1, y0, y1 = bounds
-    crop = img[..., y0 : y1 + th, x0 : x1 + tw]
-    s1, s2 = _window_sums(crop, th, tw)
-    if measure == CCOEFF_NORMED:
-        kernels = [tpl._zero_mean for tpl in templates]
-        sums = [tpl._sum_zero_mean for tpl in templates]
-        energies = [tpl._energy_zero_mean for tpl in templates]
-    else:
-        s1 = sums = None
-        kernels = [tpl.pixels for tpl in templates]
-        energies = [tpl._energy_raw for tpl in templates]
-
-    oh, ow = s2.shape[-2:]
+    crop, s1, s2 = _patch_sums(img, bounds, bank)
     if len(templates) == 1:
-        if crop.shape == img.shape and img.ndim == 2:
-            # the whole frame: valid placements never wrap, so the circular
-            # correlation needs no padding beyond the frame
-            spectrum = templates[0]._spectra.get((img.shape, measure))
-            if spectrum is None:
-                spectrum = np.conj(np.fft.rfft2(kernels[0], s=img.shape))
-                templates[0]._spectra[(img.shape, measure)] = spectrum
-            cross = np.fft.irfft2(np.fft.rfft2(img) * spectrum, s=img.shape)[:oh, :ow]
-        else:
-            # template row k slides along image row i + k: one banded matrix
-            # holds every horizontal shift, and output row i is rows i..i+th-1 times it
-            w = crop.shape[-1]
-            band = np.zeros((th, w, ow))
-            j = np.arange(ow)
-            band[:, j[None, :] + np.arange(tw)[:, None], j] = kernels[0][:, :, None]
-            rows = np.swapaxes(sliding_window_view(crop, th, axis=-2), -1, -2)
-            cross = rows.reshape(crop.shape[:-2] + (oh, th * w)) @ band.reshape(th * w, ow)
-        scores = _normalize(cross, s1, s2, None if sums is None else sums[0], energies[0], th * tw)
-        return scores[..., None, :, :]
+        return _one_scores(img, crop, s1, s2, templates[0], measure)[..., None, :, :]
+    return _every_score(crop, s1, s2, bank)
 
-    # R > 1: an im2col copy of the windows times the stacked templates, in
-    # bands of rows so the copy stays small
-    windows = sliding_window_view(crop, (th, tw))
-    stacked = np.stack([k.ravel() for k in kernels])  # (R, n)
-    if sums is not None:
-        sums = np.array(sums)[:, None]
-    energies = np.array(energies)[:, None]
-    scores = np.empty((len(templates), oh, ow))
+
+def _patch_sums(img: np.ndarray, bounds, bank: _Bank):
+    """The float64 crop that box ``bounds`` reads, and its per-placement patch sums (s1 None for ``ccorr_normed``) and sums of squares."""
+    x0, x1, y0, y1 = bounds
+    th, tw = bank.templates[0].pixels.shape
+    crop = np.asarray(img[..., y0 : y1 + th, x0 : x1 + tw], dtype=np.float64)
+    s1, s2 = _window_sums(crop, th, tw)
+    return crop, (s1 if bank.measure == CCOEFF_NORMED else None), s2
+
+
+def _one_scores(img: np.ndarray, crop: np.ndarray, s1, s2, tpl: Template, measure: str) -> np.ndarray:
+    """One template's scores at every placement of ``crop``, shape ``(..., oh, ow)``."""
+    kernel, total, energy = _terms(tpl, measure)
+    th, tw = kernel.shape
+    oh, ow = s2.shape[-2:]
+    if crop.shape == img.shape and img.ndim == 2:
+        # the whole frame: valid placements never wrap, so the circular
+        # correlation needs no padding beyond the frame
+        spectrum = tpl._spectra.get((img.shape, measure))
+        if spectrum is None:
+            spectrum = np.conj(np.fft.rfft2(kernel, s=img.shape))
+            tpl._spectra[(img.shape, measure)] = spectrum
+        cross = np.fft.irfft2(np.fft.rfft2(crop) * spectrum, s=img.shape)[:oh, :ow]
+    else:
+        # template row k slides along image row i + k: one banded matrix
+        # holds every horizontal shift, and output row i is rows i..i+th-1 times it
+        w = crop.shape[-1]
+        band = np.zeros((th, w, ow))
+        j = np.arange(ow)
+        band[:, j[None, :] + np.arange(tw)[:, None], j] = kernel[:, :, None]
+        rows = np.swapaxes(sliding_window_view(crop, th, axis=-2), -1, -2)
+        cross = rows.reshape(crop.shape[:-2] + (oh, th * w)) @ band.reshape(th * w, ow)
+    return _normalize(cross, s1, s2, total, energy, th * tw)
+
+
+def _product(bank: _Bank, cols: np.ndarray, s1, s2) -> np.ndarray:
+    """Every template of ``bank`` scored at the m placements whose windows are the rows of ``cols`` ``(m, n)``: ``(R, m)``."""
+    return _normalize(bank.kernels @ cols.T, s1, s2, bank.sums, bank.energies, cols.shape[1])
+
+
+def _every_score(crop: np.ndarray, s1, s2, bank: _Bank) -> np.ndarray:
+    """Every template of ``bank`` at every placement of ``crop``, shape ``(R, oh, ow)``.
+
+    An im2col copy of the windows times the stacked kernels, in bands of
+    placement rows so the copy stays small.
+    """
+    windows = sliding_window_view(crop, bank.templates[0].pixels.shape)
+    oh, ow = s2.shape
+    scores = np.empty((len(bank.templates), oh, ow))
     step = max(1, _BAND_PLACEMENTS // ow)
     for j0 in range(0, oh, step):
         j1 = min(j0 + step, oh)
-        cols = windows[j0:j1].reshape((j1 - j0) * ow, th * tw)
-        band = _normalize(
-            stacked @ cols.T,
-            None if s1 is None else s1[j0:j1].ravel(),
-            s2[j0:j1].ravel(),
-            sums,
-            energies,
-            th * tw,
-        )
-        scores[:, j0:j1] = band.reshape(len(templates), j1 - j0, ow)
+        cols = windows[j0:j1].reshape((j1 - j0) * ow, -1)
+        band = _product(bank, cols, None if s1 is None else s1[j0:j1].ravel(), s2[j0:j1].ravel())
+        scores[:, j0:j1] = band.reshape(-1, j1 - j0, ow)
     return scores
+
+
+def _scores_at(windows: np.ndarray, s1, s2, bank: _Bank, flat: np.ndarray) -> np.ndarray:
+    """Every template of ``bank`` at placements ``flat`` (row-major indices into ``s2``), shape ``(R, m)``, in bands."""
+    ow = s2.shape[1]
+    out = np.empty((len(bank.templates), flat.size))
+    for k in range(0, flat.size, _BAND_PLACEMENTS):
+        iy, ix = np.divmod(flat[k : k + _BAND_PLACEMENTS], ow)
+        cols = windows[iy, ix].reshape(iy.size, -1)
+        out[:, k : k + _BAND_PLACEMENTS] = _product(bank, cols, None if s1 is None else s1[iy, ix], s2[iy, ix])
+    return out
 
 
 def _normalize(cross, s1, s2, sums, energies, n: int) -> np.ndarray:
@@ -367,10 +462,19 @@ def pick_peaks(response: np.ndarray, boxes: np.ndarray):
     # box's own row-major order, so ties resolve as in find_peak_subpixel
     iy, ix = np.divmod(masked.reshape(n, -1).argmax(axis=1), cols)
     r = np.arange(n)
-    peaks = response[r, iy, ix]
-    hits = _cap_hits(peaks)
     left, right = response[r, iy, np.maximum(ix - 1, 0)], response[r, iy, np.minimum(ix + 1, cols - 1)]
     up, down = response[r, np.maximum(iy - 1, 0), ix], response[r, np.minimum(iy + 1, rows - 1), ix]
+    return _refine(boxes, ix, iy, response[r, iy, ix], left, right, up, down)
+
+
+def _refine(boxes: np.ndarray, ix, iy, peaks, left, right, up, down):
+    """Positions relative to each box's corner, and scores, of R integer peaks given their four neighbours' scores.
+
+    The parabola is fitted along an axis only strictly inside the box, and
+    a cap hit keeps its lattice point and scores the cap.
+    """
+    x0, x1, y0, y1 = boxes.T
+    hits = _cap_hits(peaks)
     dx = np.where(~hits & (x0 < ix) & (ix < x1), _parabolic_offsets(left, peaks, right), 0.0)
     dy = np.where(~hits & (y0 < iy) & (iy < y1), _parabolic_offsets(up, peaks, down), 0.0)
     positions = np.stack([(ix - x0) + dx, (iy - y0) + dy], axis=1)
@@ -399,13 +503,15 @@ def match_templates(images, templates: list[Template], measure: str = CCOEFF_NOR
     Template ``r`` is searched in image ``s`` within ``radius`` of
     ``centers[s, r]`` (x, y); without centres or radius every template
     searches the whole frame.  One template's regions in S > 1 images are
-    scored as one stack.  Otherwise each image is searched on its own: all R
-    templates are scored in one pass over the union of the image's regions.
-    Each peak is taken from its own region, so borders behave as if the
-    region had been searched alone, and chains whose regional best scores
-    below ``min_score`` widen to the full frame of their own image.  Returns
-    positions ``(S, R, 2)``, scores ``(S, R)`` and widened flags ``(S, R)``.
+    scored as one stack.  Otherwise each image is searched on its own over
+    the union of the image's regions, R > 1 templates by the bounded search
+    of ``_bounded_peaks``.  Each peak is taken from its own region, so
+    borders behave as if the region had been searched alone, and chains
+    whose regional best scores below ``min_score`` widen to the full frame
+    of their own image.  Returns positions ``(S, R, 2)``, scores ``(S, R)``
+    and widened flags ``(S, R)``.
     """
+    bank = _bank(templates, measure)
     # each search converts its own frame or crops: all S in float64 at once raise the peak
     imgs = [_as_image(image, dtype=None) for image in images]
     shapes = imgs[0].shape, templates[0].pixels.shape
@@ -423,30 +529,91 @@ def match_templates(images, templates: list[Template], measure: str = CCOEFF_NOR
         # shape, and stacked unions or whole frames only raise peak memory.
         # One template in one image keeps the scalar peak picker, which
         # costs about a tenth of pick_peaks for a single box
-        found = [_best_in_boxes(img, templates, img_boxes, measure) for img, img_boxes in zip(imgs, boxes)]
+        found = [_best_in_boxes(img, bank, img_boxes) for img, img_boxes in zip(imgs, boxes)]
         positions, scores = map(np.stack, zip(*found))
     widened = scores < min_score if regional else np.zeros(scores.shape, dtype=bool)
     for s in widened.any(axis=1).nonzero()[0]:
         redo = widened[s].nonzero()[0]
-        full = placement_boxes(*shapes)
-        positions[s, redo], scores[s, redo] = _best_in_boxes(imgs[s], [templates[r] for r in redo], full, measure)
+        positions[s, redo], scores[s, redo] = _best_in_boxes(imgs[s], bank.take(redo), placement_boxes(*shapes))
     return positions, scores, widened
 
 
-def _best_in_boxes(img: np.ndarray, templates: list[Template], boxes: np.ndarray, measure: str):
-    """Subpixel best placement of each template within its own box, from one union response.
+def _best_in_boxes(img: np.ndarray, bank: _Bank, boxes: np.ndarray):
+    """Subpixel best placement of each template within its own box, from one union box.
 
     ``boxes`` is ``(R, 4)``, or ``(1, 4)`` for one box shared by all R.
+    R > 1 templates take the bounded search, or every score of the union
+    when it would not prune.
     """
     ux0, _, uy0, _ = boxes.min(axis=0).tolist()
     _, ux1, _, uy1 = boxes.max(axis=0).tolist()
-    response = match_scores(img, templates, measure, (ux0, ux1, uy0, uy1))
-    if len(templates) == 1:
-        peak = find_peak_subpixel(response[0])
+    crop, s1, s2 = _patch_sums(img, (ux0, ux1, uy0, uy1), bank)
+    if len(bank.templates) == 1:
+        peak = find_peak_subpixel(_one_scores(img, crop, s1, s2, bank.templates[0], bank.measure))
         return np.array([peak.position]) + (ux0, uy0), np.array([peak.score])
-    boxes = np.broadcast_to(boxes, (len(templates), 4))
-    positions, scores = pick_peaks(response, boxes - (ux0, ux0, uy0, uy0))
+    boxes = np.broadcast_to(boxes, (len(bank.templates), 4))
+    inner = boxes - (ux0, ux0, uy0, uy0)
+    found = None if bank.pivot is None else _bounded_peaks(img, crop, s1, s2, bank, inner)
+    if found is None:
+        found = pick_peaks(_every_score(crop, s1, s2, bank), inner)
+    positions, scores = found
     return positions + boxes[:, [0, 2]], scores
+
+
+def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: _Bank, boxes: np.ndarray):
+    """``pick_peaks`` of R > 1 templates in their ``boxes`` (indices into the union), scoring each only where its peak can be.
+
+    With unit kernels ``t̂``, every score is ``<t̂, p̂>`` for a unit patch
+    ``p̂``, so by Cauchy-Schwarz ``|score_r(p) - score_q(p)| <= ||t̂_r - t̂_q||``
+    at every placement ``p`` (a flat patch scores 0 for all).  The pivot
+    ``q`` is scored over the whole union; each chain ``r`` is scored at the
+    pivot's best in its own box, which bounds its own best from below by
+    ``L_r``; so its best lies where ``score_q >= L_r - ||t̂_r - t̂_q||``.
+    Every template is scored at those candidates, in row-major order, and at
+    the four neighbours of its peak that the parabola reads.  Returns None
+    when the candidates exceed ``_PRUNE_SHARE`` of the placements.
+    After L. Di Stefano, S. Mattoccia, "Fast template matching using bounded
+    partial correlation", MVA 13 (2003), and S. Mattoccia, F. Tombari, L. Di
+    Stefano, "Fast full-search equivalent template matching by Enhanced
+    Bounded Correlation", IEEE TIP 17 (2008), with the bound taken across
+    templates instead of across the rows of one template.
+    """
+    oh, ow = s2.shape
+    windows = sliding_window_view(crop, bank.templates[0].pixels.shape)
+    pivot = _one_scores(img, crop, s1, s2, bank.pivot, bank.measure)
+    x0, x1, y0, y1 = boxes.T
+    r = np.arange(len(boxes))
+    # L_r from chain r's own box, never from the union: the pivot's best in
+    # each distinct box, where every chain of that box is scored
+    _, first, which = np.unique(((x0 * ow + x1) * oh + y0) * oh + y1, return_index=True, return_inverse=True)
+    probes = []
+    for bx0, bx1, by0, by1 in boxes[first].tolist():
+        j, i = divmod(int(pivot[by0 : by1 + 1, bx0 : bx1 + 1].argmax()), bx1 - bx0 + 1)
+        probes.append((by0 + j) * ow + bx0 + i)
+    lower = _scores_at(windows, s1, s2, bank, np.array(probes))[r, which.ravel()]
+    # the slack keeps the true argmax when rounding moves either side of the
+    # bound.  The pivot's FFT or Toeplitz map and the stacked product agree
+    # to 6e-12 on uint16 frames.  s2 - s1 * s1 / n rounds by up to half an
+    # ulp of n * 65535**2 (6e-5 for 13x13, 2.4e-4 for 31x31); that scales
+    # every score at the placement alike, by at most half that over the
+    # patch energy (>= 1 - 1/n when it is not flat), so the bound moves by at
+    # most the distance (<= 2) times it: under 3e-4 up to 31x31
+    cand = np.flatnonzero(pivot >= (lower - bank.distances).min() - _BOUND_SLACK)
+    if cand.size > _PRUNE_SHARE * pivot.size:
+        return None
+    # candidates in row-major order and the first maximum: ties resolve as in pick_peaks
+    cy, cx = np.divmod(cand, ow)
+    inside = (x0[:, None] <= cx) & (cx <= x1[:, None]) & (y0[:, None] <= cy) & (cy <= y1[:, None])
+    scores = np.where(inside, _scores_at(windows, s1, s2, bank, cand), -np.inf)
+    best = scores.argmax(axis=1)
+    iy, ix = cy[best], cx[best]
+    around = np.concatenate([
+        iy * ow + np.maximum(ix - 1, 0), iy * ow + np.minimum(ix + 1, ow - 1),
+        np.maximum(iy - 1, 0) * ow + ix, np.minimum(iy + 1, oh - 1) * ow + ix,
+    ])
+    near, at = np.unique(around, return_inverse=True)
+    left, right, up, down = _scores_at(windows, s1, s2, bank, near)[r, at.reshape(4, -1)]
+    return _refine(boxes, ix, iy, scores[r, best], left, right, up, down)
 
 
 def _best_in_stack(imgs: list[np.ndarray], template: Template, boxes: np.ndarray, measure: str):

@@ -172,8 +172,8 @@ def track_reference(
             res = match_template(frame.pixels, tpl, measure, region=region, min_score=min_score)
             positions[i, v], scores[i, v], widened[i, v] = res.position, res.score, res.widened
         if mode == UPDATING:
-            # each updating template searches one reference frame; the
-            # navigators batch it with the other sets, which reads no spectrum
+            # each updating template searches one reference frame; in the
+            # navigators only each vessel's pivot reads a whole-frame spectrum
             for tpl in sets[-1]:
                 tpl._spectra.clear()
             sets.append(_cut_templates(frame, i, rois, positions[i], measure))

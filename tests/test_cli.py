@@ -384,6 +384,18 @@ def test_frame_kind_errors_name_the_sequence_directory(workdir, tmp_path, capsys
     assert err.startswith(f"error: {broken / 'il000'}: ") and err.count("\n") == 1 and message in err
 
 
+def test_navigators_off_the_reference_slice_fail_validation(workdir, tmp_path, capsys):
+    _, dataset_dir = workdir
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset_dir, broken)
+    meta = json.loads((broken / "il000" / "seq.json").read_text())
+    meta["slice_positions_mm"][::2] = [50.0] * len(meta["slice_positions_mm"][::2])
+    (broken / "il000" / "seq.json").write_text(json.dumps(meta))
+    assert main(["validate", "--dataset", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {broken}: dataset: interleaved sequence 0 has its navigators at 50.0 mm, the references at [0.0, 0.0] mm\n"
+
+
 @pytest.mark.parametrize(
     "entry",
     [lambda root: str(root / "other" / "il000"), lambda root: "../other/il000", lambda root: "il000"],

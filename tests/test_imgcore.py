@@ -115,6 +115,17 @@ def small():
     return dataset
 
 
+def test_dataset_refuses_navigators_off_the_reference_slice(small):
+    # sequence 0's navigators image other anatomy than the references' navigators
+    seq = small.interleaved[0]
+    moved = [replace(f, slice_position_mm=50.0) if f.kind == NAVIGATOR else f for f in seq.frames]
+    with pytest.raises(ValidationError) as exc:
+        replace(small, interleaved=[InterleavedSequence(frames=moved)])
+    assert str(exc.value) == (
+        "dataset: interleaved sequence 0 has its navigators at 50.0 mm, the references at [0.0, 0.0] mm"
+    )
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("slice_gap_mm", -4.0), ("slice_gap_mm", 0.0), ("slice_gap_mm", math.nan), ("in_plane_spacing_mm", (-1.0, 1.0))],

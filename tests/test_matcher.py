@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resp4d import matcher
 from resp4d.errors import DegenerateTemplateError
 from resp4d.matcher import (
     CCOEFF_NORMED,
@@ -392,6 +393,113 @@ def test_cap_hit_reports_the_cap_and_keeps_the_lattice_point():
     assert positions.tolist() == [[1.0, 1.0]] and scores.tolist() == [1.0]
     below = find_peak_subpixel(_resp_with_peak(0.6, 1.0 - 1e-6, 0.8))
     assert below.position[0] != 1.0 and below.score == 1.0 - 1e-6
+
+
+# --- bounded multi-template search -------------------------------------------
+
+
+def _full_search_oracle(img, templates, measure, boxes, min_score, regional):
+    """Every template scored over the union of its image's boxes, then pick_peaks; weak ones redone over the frame.
+
+    Returns each box's integer peak (first row-major maximum, relative to
+    the box), positions, scores and widened flags.
+    """
+    union = (boxes[:, 0].min(), boxes[:, 1].max(), boxes[:, 2].min(), boxes[:, 3].max())
+    inner = boxes - np.array(union)[[0, 0, 2, 2]]
+    response = match_scores(img, templates, measure, union)
+    peaks = [
+        divmod(int(response[r, y0 : y1 + 1, x0 : x1 + 1].argmax()), x1 - x0 + 1)[::-1]
+        for r, (x0, x1, y0, y1) in enumerate(inner)
+    ]
+    positions, scores = pick_peaks(response, inner)
+    positions = positions + boxes[:, [0, 2]]
+    widened = scores < min_score if regional else np.zeros(len(templates), dtype=bool)
+    redo = widened.nonzero()[0]
+    if redo.size:
+        full = placement_boxes(img.shape, templates[0].pixels.shape)
+        got = pick_peaks(match_scores(img, [templates[r] for r in redo], measure, tuple(full[0])),
+                         np.repeat(full, redo.size, axis=0))
+        positions[redo], scores[redo] = got[0] + full[0, [0, 2]], got[1]
+    return np.array(peaks), positions, scores, widened
+
+
+def _bounded_case(rng, kind, measure):
+    """A random uint16 frame and R templates of one shape, with search centres and a radius."""
+    ih, iw = (int(v) for v in rng.integers(24, 56, size=2))
+    th, tw = (int(v) for v in rng.integers(4, 12, size=2))
+    img = rng.integers(0, 2**16, size=(ih, iw)).astype(np.uint16)
+    if kind == "flat":
+        img[: ih // 3] = 0  # flat for both measures: every placement there scores 0
+    if kind == "ties":
+        iw = max(iw, 3 * tw)
+        img = rng.integers(0, 2**16, size=(ih, iw)).astype(np.uint16)
+    x, y = rng.uniform(0, iw - tw), rng.uniform(ih // 3, ih - th)
+    if kind in ("cap", "ties"):
+        x, y = float(int(x)), float(int(y))  # an exact lattice match scores the cap
+    base = cut_template(img, x, y, tw, th).pixels
+    if kind == "ties":
+        # the patch again beside itself: the exact template scores the cap at both
+        x2 = int(x) + tw if x + 2 * tw <= iw else int(x) - tw
+        img[int(y) : int(y) + th, x2 : x2 + tw] = base
+    count = int(rng.integers(2, 9))
+    if kind == "spread":
+        cuts = [(rng.uniform(0, iw - tw), rng.uniform(0, ih - th)) for _ in range(count)]
+        templates = [cut_template(img, cx, cy, tw, th) for cx, cy in cuts]
+    else:
+        noise = rng.normal(scale=0.01 * base.std(), size=(count,) + base.shape)
+        templates = [Template(base + n) for n in noise]
+        if kind in ("cap", "ties"):
+            templates[0] = Template(base)
+        if kind == "ties":
+            templates[2:] = [templates[int(rng.integers(0, 2))] for _ in range(count - 2)]
+    centers = np.array([x, y]) + rng.uniform(-12.0, 12.0, size=(count, 2))
+    if kind == "ties":
+        centers[0] = ((x + x2) / 2, y)  # a box of radius 8 holds both copies
+    if kind == "flat":
+        centers[::2, 1] = rng.uniform(-4.0, ih / 3 - th, size=centers[::2, 1].shape)
+    if rng.random() < 0.3:
+        centers[0] = (rng.choice([-3.0, iw]), rng.choice([-3.0, ih]))  # a box clipped at a frame corner
+    radius = None if rng.random() < 0.2 else 8 if kind == "ties" else int(rng.integers(1, 9))
+    return img, templates, centers, radius
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("kind", ["near", "spread", "ties", "cap", "flat"])
+def test_bounded_search_equals_the_full_search(monkeypatch, kind, measure):
+    """R > 1 templates give the peaks, positions, scores and widened flags of a full search."""
+    refined, paths = [], {"full": 0}
+    refine, every_score = matcher._refine, matcher._every_score
+
+    def recording_refine(boxes, ix, iy, *args):
+        refined.append(np.stack([ix - boxes[:, 0], iy - boxes[:, 2]], axis=1))
+        return refine(boxes, ix, iy, *args)
+
+    def counted_every_score(*args):
+        paths["full"] += 1
+        return every_score(*args)
+
+    monkeypatch.setattr(matcher, "_refine", recording_refine)
+    monkeypatch.setattr(matcher, "_every_score", counted_every_score)
+    rng = np.random.default_rng([17, MEASURES.index(measure)])
+    pruned = 0
+    for _ in range(30):
+        img, templates, centers, radius = _bounded_case(rng, kind, measure)
+        min_score = float(rng.uniform(0.2, 0.6))
+        refined.clear()
+        full_before = paths["full"]
+        positions, scores, widened = match_templates([img], templates, measure, centers[None], radius, min_score)
+        pruned += paths["full"] == full_before
+        boxes = placement_boxes(img.shape, templates[0].pixels.shape, centers, radius)
+        peaks, want_positions, want_scores, want_widened = _full_search_oracle(
+            img, templates, measure, np.broadcast_to(boxes, (len(templates), 4)), min_score, radius is not None
+        )
+        assert np.array_equal(refined[0], peaks)
+        assert np.array_equal(widened[0], want_widened)
+        np.testing.assert_allclose(positions[0], want_positions, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(scores[0], want_scores, rtol=0, atol=1e-9)
+    # templates cut at unrelated places never prune; close ones prune, except
+    # where a small box or a weak best leaves too many candidates
+    assert pruned == 0 if kind == "spread" else pruned >= 5
 
 
 @settings(max_examples=30, deadline=None)

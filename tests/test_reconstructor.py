@@ -8,16 +8,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resp4d import reconstructor, tracker
+from resp4d import matcher, reconstructor, tracker
 from resp4d.errors import ValidationError
 from resp4d.imgcore import DATA, NAVIGATOR, Dataset, Frame, InterleavedSequence, ReferenceSequence, quantize_u16
 from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, match_template
-from resp4d.phantom import BreathingSignal, VesselSpec, generate_phantom, oracle_matches, render_frame, suggested_rois
+from resp4d.phantom import (
+    BreathingSignal,
+    PhantomSpec,
+    SignalComponent,
+    VesselSpec,
+    generate_phantom,
+    oracle_matches,
+    render_frame,
+    suggested_rois,
+)
 from resp4d.reconstructor import (
     BASELINE_METHOD,
     UPDATING_METHOD,
     ReconstructionConfig,
     average_bin,
+    decide_all,
     displacement_tables,
     reconstruct,
     save_reconstruction,
@@ -237,6 +247,77 @@ def test_localization_is_one_call_per_navigator(replay, monkeypatch):
     assert calls["locate"] == max(len(seq.navigators()) for seq in dataset.interleaved) == 20
     # reference tracking only: every navigator ordinal's S x R x V matches go through batched calls
     assert calls["match"] == (spec.reference_frames - 1) * len(rois)
+
+
+# the four equivalence phantoms: the default, c6's oracle phantom, and
+# stagebench's baseline_bulk and the split vessel, the last two shortened so
+# that the full search they are compared with stays quick
+_TWO_VESSELS = (
+    VesselSpec(x=24.0, y=20.0, radius_px=2.5, peak_intensity=1200.0),
+    VesselSpec(x=56.0, y=38.0, radius_px=3.0, peak_intensity=900.0),
+)
+_JITTER = dict(sequence_phase_jitter_ms=40.0, sequence_amp_jitter=0.03)
+EQUIVALENCE_PHANTOMS = {
+    "default": (PhantomSpec(), 0),
+    "c6": (
+        PhantomSpec(
+            frame_height=64, frame_width=80, vessels=_TWO_VESSELS, background=100.0, noise_std=0.0,
+            signal=BreathingSignal(
+                amplitude_px=6.0,
+                components=(SignalComponent(3800.0, 1.0), SignalComponent(6100.0, 0.35)),
+                seed=13,
+            ),
+            reference_frames=40, sequences=4, data_frames_per_sequence=15, **_JITTER,
+        ),
+        8,
+    ),
+    "baseline_bulk": (
+        PhantomSpec(
+            frame_height=96, frame_width=96,
+            vessels=(
+                VesselSpec(x=36.0, y=36.0, radius_px=2.5, peak_intensity=1200.0),
+                VesselSpec(x=76.0, y=70.0, radius_px=3.0, peak_intensity=900.0),
+            ),
+            signal=BreathingSignal(amplitude_px=6.0, seed=13),
+            reference_frames=16, sequences=2, data_frames_per_sequence=12, noise_std=3.0, **_JITTER,
+        ),
+        3,
+    ),
+    "split": (replace(split_vessel_spec(), reference_frames=24, sequences=2), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(EQUIVALENCE_PHANTOMS))
+def test_bounded_localization_decides_as_the_full_search(monkeypatch, name):
+    """The updating method's tables, decisions and widened counts, with and without the bounded search."""
+    spec, seed = EQUIVALENCE_PHANTOMS[name]
+    dataset, truth = generate_phantom(spec, seed=seed)
+    rois = suggested_rois(spec, truth)
+    full_products = []
+    every_score = matcher._every_score
+
+    def counted(*args):
+        full_products.append(len(args[-1].templates))
+        return every_score(*args)
+
+    monkeypatch.setattr(matcher, "_every_score", counted)
+    for measure in (CCOEFF_NORMED, CCORR_NORMED):
+        for search_radius in (10, None):
+            config = ReconstructionConfig(measure=measure, search_radius=search_radius)
+            full_products.clear()
+            tables, widened = displacement_tables(dataset, rois, config)
+            if name == "default":
+                assert not full_products  # one vessel appearance: every R > 1 search prunes
+            with monkeypatch.context() as forced:
+                forced.setattr(matcher, "_SPREAD_MAX", -1.0)
+                want_tables, want_widened = displacement_tables(dataset, rois, config)
+            assert full_products  # the forced run scores every chain everywhere
+            assert widened == want_widened
+            for got, want in zip(tables, want_tables, strict=True):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            report, want_report = (decide_all(dataset, t, w, config) for t, w in ((tables, widened), (want_tables, want_widened)))
+            for got, want in zip(report.accepted, want_report.accepted, strict=True):
+                assert np.array_equal(got, want)
 
 
 def test_reference_two_works_as_well(replay):
