@@ -34,8 +34,8 @@ only where the pivot's score leaves room for some template's best.  This
 prunes when the templates share one appearance, as an updating chain's
 reference templates do (distances up to 0.02, under 1 % of the placements
 scored).  When the templates spread more than ``_SPREAD_MAX`` from the
-pivot, or more than ``_PRUNE_SHARE`` of the placements remain candidates,
-every template is scored at every placement instead.
+pivot, as the chains of a vessel whose appearance changes with breathing
+do, every template is scored at every placement instead.
 
 ``match_templates`` is the one search: S images by R templates, each in its
 own region or over the whole frame, widening weak regional bests.
@@ -46,7 +46,8 @@ own region or over the whole frame, widening weak regional bests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,15 +71,13 @@ _SCORE_CAP = 1.0
 # bounds the copy at a few hundred kB for the template sizes in use
 _BAND_PLACEMENTS = 512
 # the bounded search of R > 1 templates (_bounded_peaks).  How far below its
-# bound a pivot score may round and still count as a candidate; the largest
-# distance of a unit kernel from the pivot's, and the share of the union's
-# placements left as candidates, beyond which every template is scored
-# everywhere instead.  Measured: the chains of one vessel appearance spread
-# up to 0.02 and leave under 1 % of the placements; the split-pair phantoms
-# spread 0.66-0.98 and would leave 20-100 %.
+# bound a pivot score may round and still count as a candidate, and the
+# largest distance of a unit kernel from the pivot's beyond which every
+# template is scored everywhere instead.  Measured: the chains of one vessel
+# appearance spread up to 0.02 and leave under 1 % of the placements as
+# candidates; the split-pair phantoms spread 0.66-0.98
 _BOUND_SLACK = 1e-3
 _SPREAD_MAX = 0.25
-_PRUNE_SHARE = 0.25
 
 
 @dataclass
@@ -234,8 +233,7 @@ class _Bank:
     For R > 1, ``kernels`` is the ``(R, n)`` matrix of the measure's kernels
     (zero-mean templates for ``ccoeff_normed``, raw ones for
     ``ccorr_normed``), ``sums`` (None for ``ccorr_normed``) and ``energies``
-    are ``(R, 1)``, and ``pivot`` and ``distances`` serve ``_bounded_peaks``;
-    ``pivot`` is None when the templates spread too far for it to prune.
+    are ``(R, 1)``.
     """
 
     templates: list[Template]
@@ -243,16 +241,20 @@ class _Bank:
     kernels: np.ndarray | None = None
     sums: np.ndarray | None = None
     energies: np.ndarray | None = None
-    pivot: Template | None = None
-    distances: np.ndarray | None = None
 
-    def take(self, rows) -> "_Bank":
-        """The bank of templates ``rows``, keeping the pivot."""
-        if len(rows) == 1:
-            return _Bank([self.templates[rows[0]]], self.measure)
-        sums = None if self.sums is None else self.sums[rows]
-        return replace(self, templates=[self.templates[r] for r in rows], kernels=self.kernels[rows],
-                       sums=sums, energies=self.energies[rows], distances=self.distances[rows])
+    @cached_property
+    def pivot(self) -> tuple[int, np.ndarray] | None:
+        """The pivot of ``_bounded_peaks`` and every unit kernel's distance from its ``(R,)``, or None.
+
+        The pivot is the template whose largest distance to the others,
+        between unit kernels, is smallest.  None when that distance exceeds
+        ``_SPREAD_MAX``, so that the bound would not prune.  Worked out on
+        first use, once per bank.
+        """
+        unit = self.kernels / np.sqrt(self.energies)
+        q = int((unit @ unit.T).min(axis=1).argmax())
+        distances = np.sqrt(((unit - unit[q]) ** 2).sum(axis=1))
+        return (q, distances) if distances.max() <= _SPREAD_MAX else None
 
 
 def _terms(tpl: Template, measure: str):
@@ -263,11 +265,7 @@ def _terms(tpl: Template, measure: str):
 
 
 def _bank(templates: list[Template], measure: str) -> _Bank:
-    """Check R same-shape templates for ``measure`` and stack them when R > 1.
-
-    The pivot is the template whose largest distance to the others, between
-    unit kernels, is smallest: the bounded search loosens its bound by it.
-    """
+    """Check R same-shape templates for ``measure`` and stack them when R > 1."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     shape = templates[0].pixels.shape
@@ -283,15 +281,8 @@ def _bank(templates: list[Template], measure: str) -> _Bank:
     if len(templates) == 1:
         return _Bank(templates, measure)
     kernels, sums, energies = zip(*(_terms(tpl, measure) for tpl in templates))
-    kernels = np.stack([k.ravel() for k in kernels])
-    energies = np.array(energies)[:, None]
-    unit = kernels / np.sqrt(energies)
-    q = int((unit @ unit.T).min(axis=1).argmax())
-    distances = np.sqrt(((unit - unit[q]) ** 2).sum(axis=1))
-    return _Bank(
-        templates, measure, kernels, None if sums[0] is None else np.array(sums)[:, None], energies,
-        templates[q] if distances.max() <= _SPREAD_MAX else None, distances,
-    )
+    sums = None if sums[0] is None else np.array(sums)[:, None]
+    return _Bank(templates, measure, np.stack([k.ravel() for k in kernels]), sums, np.array(energies)[:, None])
 
 
 def match_scores(image, templates: list[Template], measure: str,
@@ -523,7 +514,7 @@ def match_templates(images, templates: list[Template], measure: str = CCOEFF_NOR
     else:
         boxes = np.broadcast_to(placement_boxes(*shapes), (len(imgs), 1, 4))
     if regional and len(templates) == 1 and len(imgs) > 1:
-        positions, scores = _best_in_stack(imgs, templates[0], boxes[:, 0], measure)
+        positions, scores = _best_in_stack(imgs, bank, boxes[:, 0])
     else:
         # one image at a time: the banded products round with the box's
         # shape, and stacked unions or whole frames only raise peak memory.
@@ -534,7 +525,8 @@ def match_templates(images, templates: list[Template], measure: str = CCOEFF_NOR
     widened = scores < min_score if regional else np.zeros(scores.shape, dtype=bool)
     for s in widened.any(axis=1).nonzero()[0]:
         redo = widened[s].nonzero()[0]
-        positions[s, redo], scores[s, redo] = _best_in_boxes(imgs[s], bank.take(redo), placement_boxes(*shapes))
+        redo_bank = _bank([templates[r] for r in redo], measure)
+        positions[s, redo], scores[s, redo] = _best_in_boxes(imgs[s], redo_bank, placement_boxes(*shapes))
     return positions, scores, widened
 
 
@@ -543,7 +535,7 @@ def _best_in_boxes(img: np.ndarray, bank: _Bank, boxes: np.ndarray):
 
     ``boxes`` is ``(R, 4)``, or ``(1, 4)`` for one box shared by all R.
     R > 1 templates take the bounded search, or every score of the union
-    when it would not prune.
+    when their spread leaves the bank without a pivot.
     """
     ux0, _, uy0, _ = boxes.min(axis=0).tolist()
     _, ux1, _, uy1 = boxes.max(axis=0).tolist()
@@ -553,10 +545,10 @@ def _best_in_boxes(img: np.ndarray, bank: _Bank, boxes: np.ndarray):
         return np.array([peak.position]) + (ux0, uy0), np.array([peak.score])
     boxes = np.broadcast_to(boxes, (len(bank.templates), 4))
     inner = boxes - (ux0, ux0, uy0, uy0)
-    found = None if bank.pivot is None else _bounded_peaks(img, crop, s1, s2, bank, inner)
-    if found is None:
-        found = pick_peaks(_every_score(crop, s1, s2, bank), inner)
-    positions, scores = found
+    if bank.pivot is None:
+        positions, scores = pick_peaks(_every_score(crop, s1, s2, bank), inner)
+    else:
+        positions, scores = _bounded_peaks(img, crop, s1, s2, bank, inner)
     return positions + boxes[:, [0, 2]], scores
 
 
@@ -570,8 +562,7 @@ def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: _Bank, boxes
     pivot's best in its own box, which bounds its own best from below by
     ``L_r``; so its best lies where ``score_q >= L_r - ||t̂_r - t̂_q||``.
     Every template is scored at those candidates, in row-major order, and at
-    the four neighbours of its peak that the parabola reads.  Returns None
-    when the candidates exceed ``_PRUNE_SHARE`` of the placements.
+    the four neighbours of its peak that the parabola reads.
     After L. Di Stefano, S. Mattoccia, "Fast template matching using bounded
     partial correlation", MVA 13 (2003), and S. Mattoccia, F. Tombari, L. Di
     Stefano, "Fast full-search equivalent template matching by Enhanced
@@ -580,7 +571,8 @@ def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: _Bank, boxes
     """
     oh, ow = s2.shape
     windows = sliding_window_view(crop, bank.templates[0].pixels.shape)
-    pivot = _one_scores(img, crop, s1, s2, bank.pivot, bank.measure)
+    q, distances = bank.pivot
+    pivot = _one_scores(img, crop, s1, s2, bank.templates[q], bank.measure)
     x0, x1, y0, y1 = boxes.T
     r = np.arange(len(boxes))
     # L_r from chain r's own box, never from the union: the pivot's best in
@@ -598,9 +590,7 @@ def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: _Bank, boxes
     # every score at the placement alike, by at most half that over the
     # patch energy (>= 1 - 1/n when it is not flat), so the bound moves by at
     # most the distance (<= 2) times it: under 3e-4 up to 31x31
-    cand = np.flatnonzero(pivot >= (lower - bank.distances).min() - _BOUND_SLACK)
-    if cand.size > _PRUNE_SHARE * pivot.size:
-        return None
+    cand = np.flatnonzero(pivot >= (lower - distances).min() - _BOUND_SLACK)
     # candidates in row-major order and the first maximum: ties resolve as in pick_peaks
     cy, cx = np.divmod(cand, ow)
     inside = (x0[:, None] <= cx) & (cx <= x1[:, None]) & (y0[:, None] <= cy) & (cy <= y1[:, None])
@@ -616,16 +606,18 @@ def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: _Bank, boxes
     return _refine(boxes, ix, iy, scores[r, best], left, right, up, down)
 
 
-def _best_in_stack(imgs: list[np.ndarray], template: Template, boxes: np.ndarray, measure: str):
-    """Best placement of one template in box ``s`` of image ``s``, for all S boxes ``(S, 4)`` at once.
+def _best_in_stack(imgs: list[np.ndarray], bank: _Bank, boxes: np.ndarray):
+    """Best placement of a bank's one template in box ``s`` of image ``s``, for all S boxes ``(S, 4)`` at once.
 
     The boxes grow to the largest one inside the frame, and the S crops are
     scored as one stack.  Returns positions ``(S, 1, 2)`` and scores ``(S, 1)``.
     """
+    template = bank.templates[0]
     (th, tw), (ih, iw) = template.pixels.shape, imgs[0].shape
     sx, sy = (boxes[:, [1, 3]] - boxes[:, [0, 2]]).max(axis=0).tolist()
     corners = np.minimum(boxes[:, [0, 2]], (iw - tw - sx, ih - th - sy))
     crops = np.stack([img[y : y + sy + th, x : x + sx + tw] for img, (x, y) in zip(imgs, corners.tolist())])
-    response = match_scores(crops, [template], measure, (0, sx, 0, sy))[:, 0]
+    crop, s1, s2 = _patch_sums(crops, (0, sx, 0, sy), bank)
+    response = _one_scores(crops, crop, s1, s2, template, bank.measure)
     positions, scores = pick_peaks(response, boxes - corners[:, [0, 0, 1, 1]])
     return (positions + boxes[:, [0, 2]])[:, None], scores[:, None]
