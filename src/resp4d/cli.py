@@ -131,7 +131,7 @@ def _cmd_reconstruct(args) -> int:
     config = _config_from_args(args)
     dataset = load_dataset(args.dataset)
     rois = read_json(args.rois, rois_from_obj)
-    t0 = time.perf_counter()  # the stacks are averaged while they are saved
+    t0 = time.perf_counter()  # the stacks are built while they are saved
     volume, report = reconstruct(dataset, rois, config)
     save_reconstruction(volume, report, args.out)
     print(

@@ -5,7 +5,7 @@ interleaved sequence contributes the data frames whose enclosing navigators
 agree with the timepoint's breathing state.  Matched frames are averaged
 pixelwise per slice position, slices are stacked in ascending position order,
 and empty bins are recorded in a completeness map and stored black.  Each
-timepoint's stack is averaged only when it is saved, one timepoint at a time.
+timepoint's uint16 stack is built when saved, averaging only multi-frame bins.
 
 Which templates face the interleaved navigators depends on the method: the
 updating method localizes with the template set of the specific reference
@@ -89,12 +89,12 @@ class Volume4D:
         return self.data_frames[0][0].shape
 
     def stack(self, ti: int) -> np.ndarray:
-        """(n_slices, H, W) float64 averages of timepoint index ``ti``; zero where a bin is empty."""
-        out = np.zeros((len(self.data_frames),) + self.frame_shape)
+        """Saved uint16 (n_slices, H, W) stack of timepoint ``ti``: empty bins 0, lone frames copied, others averaged."""
+        out = np.zeros((len(self.data_frames),) + self.frame_shape, dtype=np.uint16)
         for si, (frames, accepted) in enumerate(zip(self.data_frames, self.accepted)):
             ks = np.nonzero(accepted[ti])[0]
-            if ks.size:
-                out[si] = average_bin([frames[k] for k in ks])
+            if ks.size:  # a mean of uint16 values lies in [0, 65535]; the mean of one frame is that frame
+                out[si] = frames[ks[0]] if ks.size == 1 else quantize_u16(average_bin([frames[k] for k in ks]))
         return out
 
 
@@ -240,7 +240,7 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
     for idx_i, i in enumerate(volume.timepoints):
         name = f"t{i:04d}.u16le"
         stack_names.append(name)
-        (out / name).write_bytes(quantize_u16(volume.stack(idx_i)).astype("<u2").tobytes())
+        (out / name).write_bytes(volume.stack(idx_i).astype("<u2", copy=False).tobytes())
 
     manifest = {
         "timepoints": volume.timepoints,

@@ -130,10 +130,10 @@ def test_bins_are_consistent_with_completeness_and_voxels(replay):
             assert all(seq.frames[d].kind == DATA for d in indices)
             assert volume.completeness[ti, si] == bool(indices)
             if indices:
-                expected = average_bin([seq.frames[d].pixels for d in indices])
+                expected = quantize_u16(average_bin([seq.frames[d].pixels for d in indices]))
                 assert np.array_equal(stack[si], expected)
             else:
-                assert np.all(stack[si] == 0.0)
+                assert np.all(stack[si] == 0)
 
 
 def test_reconstruction_is_deterministic(replay):
@@ -383,6 +383,37 @@ def test_average_bin_arithmetic():
     assert np.array_equal(average_bin([a, b]), np.full((4, 4), 150.0))
 
 
+def test_stack_copies_lone_frames_and_quantizes_averages(tmp_path):
+    # slice 0 holds flat frames of 1, 2, 3, 65535, 65535; slice 1 two ramps
+    flat = [np.full((2, 3), v, dtype=np.uint16) for v in (1, 2, 3, 65535, 65535)]
+    ramp = np.arange(6, dtype=np.uint16).reshape(2, 3) * 13107  # 0 .. 65535
+    ramps = [ramp, ramp[::-1].copy()]
+    accepted = [
+        np.array([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=bool),
+        np.array([[0, 0], [1, 0], [0, 1]], dtype=bool),
+    ]
+    volume = reconstructor.Volume4D([0.0, 4.0], (1.82, 1.82, 4.0), [flat, ramps], accepted)
+    report = reconstructor.ReconstructionReport(
+        ReconstructionConfig(), {0: 0.0, 1: 4.0}, [np.zeros(a.shape) for a in accepted], accepted, 0
+    )
+    save_reconstruction(volume, report, tmp_path)
+
+    # (1+2)/2 and (2+3)/2 round half to even to 2; slice 1 is empty, then a lone ramp each
+    want = [
+        [np.full((2, 3), 2), np.zeros((2, 3))],
+        [np.full((2, 3), 2), ramp],
+        [np.full((2, 3), 65535), ramp[::-1]],
+    ]
+    for ti, i in enumerate(volume.timepoints):
+        stack = volume.stack(ti)
+        assert stack.dtype == np.uint16
+        assert np.array_equal(stack, np.stack(want[ti]))
+        for si, (bin_frames, mask) in enumerate(zip((flat, ramps), accepted)):
+            chosen = [f for f, ok in zip(bin_frames, mask[ti]) if ok]
+            assert np.array_equal(stack[si], quantize_u16(average_bin(chosen)) if chosen else np.zeros_like(stack[si]))
+        assert (tmp_path / f"t{i:04d}.u16le").read_bytes() == stack.astype("<u2").tobytes()
+
+
 def test_save_reconstruction_layout(tmp_path, replay):
     spec, dataset, _, rois = replay
     volume, report = reconstruct(dataset, rois, ReconstructionConfig())
@@ -397,9 +428,9 @@ def test_save_reconstruction_layout(tmp_path, replay):
     for name in manifest["stacks"]:
         assert (out / name).stat().st_size == stack_bytes
 
-    # the first stack holds the quantized voxels of the first timepoint
+    # the first stack file holds the first timepoint's uint16 stack
     raw = np.frombuffer((out / manifest["stacks"][0]).read_bytes(), dtype="<u2")
-    expected = np.rint(np.clip(volume.stack(0), 0, 65535)).astype(np.uint16)
+    expected = volume.stack(0)
     assert np.array_equal(raw.reshape(expected.shape), expected)
 
     report_obj = json.loads((out / "report.json").read_text())
@@ -431,7 +462,7 @@ def test_save_reconstruction_layout(tmp_path, replay):
 
 @pytest.mark.parametrize("method", [UPDATING_METHOD, BASELINE_METHOD])
 def test_reconstruct_and_save_never_hold_the_whole_volume(tmp_path, split_vessel, method):
-    # stacks are averaged one timepoint at a time while they are saved, so
+    # stacks are built one timepoint at a time while they are saved, so
     # the traced peak stays below even a uint16 copy of the float64 volume
     _, dataset, _, rois = split_vessel
     tracemalloc.start()
