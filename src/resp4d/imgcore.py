@@ -81,9 +81,15 @@ def _check_increasing_timestamps(frames: list[Frame], label: str) -> None:
             )
 
 
+# how far, as a share of the frame period, a reference frame's timestamp may
+# step from its predecessor's by other than the period: room for timestamps
+# rounded to the millisecond at periods of 100 ms and more
+_PERIOD_TOLERANCE = 0.01
+
+
 @dataclass
 class ReferenceSequence:
-    """Navigator-only sequence acquired at a fixed anatomical position."""
+    """Navigator-only sequence acquired at a fixed anatomical position, one frame every ``frame_period_ms``."""
 
     frames: list[Frame]
     frame_period_ms: float
@@ -94,6 +100,14 @@ class ReferenceSequence:
             raise ValidationError("reference sequence has no frames")
         _check_uniform_dims(self.frames, "reference sequence")
         _check_increasing_timestamps(self.frames, "reference sequence")
+        steps = np.diff([f.timestamp_ms for f in self.frames])
+        off = np.flatnonzero(np.abs(steps - self.frame_period_ms) > _PERIOD_TOLERANCE * self.frame_period_ms)
+        if off.size:
+            i = int(off[0]) + 1
+            raise ValidationError(
+                f"reference sequence: frame {i} comes {steps[i - 1]} ms after frame {i - 1}, "
+                f"not one frame period ({self.frame_period_ms} ms, within {_PERIOD_TOLERANCE:.0%})"
+            )
         for i, f in enumerate(self.frames):
             if f.kind != NAVIGATOR:
                 raise ValidationError(f"reference sequence: frame {i} is {f.kind!r}, expected navigator")

@@ -26,16 +26,17 @@ stacked ``(R, n)`` template matrix, taken in bands of placements.
 
 R > 1 templates in one box are found by a bounded search that gives the
 result of scoring all of them everywhere (``_bounded_peaks``).  Divided by
-its norm, each kernel is a unit vector, and so is each patch, so two
-templates' scores at any placement differ by at most the distance between
-their unit kernels.  One pivot template is scored over the whole box, every
-template at the pivot's best in its own region, and then every template
-only where the pivot's score leaves room for some template's best.  This
-prunes when the templates share one appearance, as an updating chain's
-reference templates do (distances up to 0.02, under 1 % of the placements
-scored).  When the templates spread more than ``_SPREAD_MAX`` from the
-pivot, as the chains of a vessel whose appearance changes with breathing
-do, every template is scored at every placement instead.
+its norm, each kernel is a unit vector, and so is each patch.  Each bank
+keeps the fewest top singular vectors of its unit kernels that leave every
+kernel within ``_RESIDUAL_MAX`` of their span, after M. Uenohara and T.
+Kanade, "Use of Fourier and Karhunen-Loeve decomposition for fast pattern
+matching with a large set of templates", IEEE TPAMI 19(8), 1997; a
+template's score then differs from its projection's by at most its
+residual.  The k basis vectors are scored over the whole box, and every
+template only where its projection leaves room for its best.  The chains
+of one vessel appearance lie within 0.02 of one basis vector and leave about
+1 % of the placements to score; the chains of a vessel whose appearance
+changes with breathing lie within 0.11 of three or four, and leave 1-14 %.
 
 ``match_templates`` is the one search: S images by R templates, each in its
 own region or over the whole frame, widening weak regional bests.
@@ -46,11 +47,10 @@ own region or over the whole frame, widening weak regional bests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DegenerateTemplateError
 
@@ -71,13 +71,13 @@ _SCORE_CAP = 1.0
 # bounds the copy at a few hundred kB for the template sizes in use
 _BAND_PLACEMENTS = 512
 # the bounded search of R > 1 templates (_bounded_peaks).  How far below its
-# bound a pivot score may round and still count as a candidate, and the
-# largest distance of a unit kernel from the pivot's beyond which every
-# template is scored everywhere instead.  Measured: the chains of one vessel
-# appearance spread up to 0.02 and leave under 1 % of the placements as
-# candidates; the split-pair phantoms spread 0.66-0.98
+# bound an approximate score may round and still count as a candidate, and
+# the largest distance of a unit kernel from the span of its bank's basis.
+# Measured: 0.125 takes one basis vector for the chains of one vessel
+# appearance (residuals up to 0.02) and three or four for the split-pair
+# phantoms; 0.07 to 0.2 ran the workloads equally fast
 _BOUND_SLACK = 1e-3
-_SPREAD_MAX = 0.25
+_RESIDUAL_MAX = 0.125
 
 
 @dataclass
@@ -227,13 +227,15 @@ def response_map(image, template: Template, measure: str = CCOEFF_NORMED) -> np.
 
 
 @dataclass
-class _Bank:
-    """R same-shape templates checked for one measure, stacked once per search.
+class TemplateBank:
+    """R same-shape templates checked for one measure, stacked once for every search.
 
     For R > 1, ``kernels`` is the ``(R, n)`` matrix of the measure's kernels
     (zero-mean templates for ``ccoeff_normed``, raw ones for
     ``ccorr_normed``), ``sums`` (None for ``ccorr_normed``) and ``energies``
-    are ``(R, 1)``.
+    are ``(R, 1)``.  ``basis`` holds the k templates of ``_bounded_peaks``:
+    template ``r``'s unit kernel lies ``residuals[r]`` from ``coeffs[r]``
+    ``(R, k)`` times the basis templates' unit kernels.
     """
 
     templates: list[Template]
@@ -241,20 +243,19 @@ class _Bank:
     kernels: np.ndarray | None = None
     sums: np.ndarray | None = None
     energies: np.ndarray | None = None
+    basis: list[Template] = field(default_factory=list)
+    coeffs: np.ndarray | None = None
+    residuals: np.ndarray | None = None
 
-    @cached_property
-    def pivot(self) -> tuple[int, np.ndarray] | None:
-        """The pivot of ``_bounded_peaks`` and every unit kernel's distance from its ``(R,)``, or None.
-
-        The pivot is the template whose largest distance to the others,
-        between unit kernels, is smallest.  None when that distance exceeds
-        ``_SPREAD_MAX``, so that the bound would not prune.  Worked out on
-        first use, once per bank.
-        """
-        unit = self.kernels / np.sqrt(self.energies)
-        q = int((unit @ unit.T).min(axis=1).argmax())
-        distances = np.sqrt(((unit - unit[q]) ** 2).sum(axis=1))
-        return (q, distances) if distances.max() <= _SPREAD_MAX else None
+    def take(self, rows: list[int]) -> TemplateBank:
+        """The bank of templates ``rows``, sharing this bank's stacked kernels and basis."""
+        if len(rows) == 1:
+            return TemplateBank([self.templates[rows[0]]], self.measure)
+        return replace(
+            self, templates=[self.templates[r] for r in rows], kernels=self.kernels[rows],
+            sums=None if self.sums is None else self.sums[rows], energies=self.energies[rows],
+            coeffs=self.coeffs[rows], residuals=self.residuals[rows],
+        )
 
 
 def _terms(tpl: Template, measure: str):
@@ -264,8 +265,8 @@ def _terms(tpl: Template, measure: str):
     return tpl.pixels, None, tpl._energy_raw
 
 
-def _bank(templates: list[Template], measure: str) -> _Bank:
-    """Check R same-shape templates for ``measure`` and stack them when R > 1."""
+def template_bank(templates: list[Template], measure: str) -> TemplateBank:
+    """Check R same-shape templates for ``measure``; for R > 1 stack them and find their basis."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     shape = templates[0].pixels.shape
@@ -279,10 +280,29 @@ def _bank(templates: list[Template], measure: str) -> _Bank:
                 else "all-zero template has no ccorr_normed response"
             )
     if len(templates) == 1:
-        return _Bank(templates, measure)
+        return TemplateBank(templates, measure)
     kernels, sums, energies = zip(*(_terms(tpl, measure) for tpl in templates))
+    kernels, energies = np.stack([k.ravel() for k in kernels]), np.array(energies)[:, None]
     sums = None if sums[0] is None else np.array(sums)[:, None]
-    return _Bank(templates, measure, np.stack([k.ravel() for k in kernels]), sums, np.array(energies)[:, None])
+    return TemplateBank(templates, measure, kernels, sums, energies, *_basis(kernels / np.sqrt(energies), shape, measure))
+
+
+def _basis(unit: np.ndarray, shape: tuple[int, int], measure: str):
+    """The fewest top right singular vectors of the unit kernels ``unit`` ``(R, n)`` that leave each within ``_RESIDUAL_MAX`` of their span.
+
+    Returns them as k templates, each signed so that the kernels' coefficients
+    on it sum to >= 0, with the coefficients ``(R, k)`` and the residuals
+    ``(R,)`` against the unit kernels that scoring the templates uses.
+    """
+    _, _, vt = np.linalg.svd(unit, full_matrices=False)
+    along = unit @ vt.T
+    left = 1.0 - np.cumsum(along * along, axis=1)  # squared residual after 1, 2, ... vectors
+    k = 1 + int(np.argmax(left.max(axis=0) <= _RESIDUAL_MAX**2))
+    signs = np.where(along[:, :k].sum(axis=0) < 0.0, -1.0, 1.0)
+    basis = [Template(v.reshape(shape)) for v in vt[:k] * signs[:, None]]
+    scored = np.stack([kernel.ravel() / math.sqrt(energy) for kernel, _, energy in (_terms(b, measure) for b in basis)])
+    coeffs = unit @ scored.T
+    return basis, coeffs, np.sqrt(((unit - coeffs @ scored) ** 2).sum(axis=1))
 
 
 def match_scores(image, templates: list[Template], measure: str,
@@ -297,15 +317,15 @@ def match_scores(image, templates: list[Template], measure: str,
     template covers the whole of a 2D frame, a Toeplitz product for one
     template over a smaller box, and banded im2col products for R > 1.
     """
-    bank = _bank(templates, measure)
+    bank = template_bank(templates, measure)
     img = _as_image(image, stack=len(templates) == 1)
     crop, s1, s2 = _patch_sums(img, bounds, bank)
     if len(templates) == 1:
-        return _one_scores(img, crop, s1, s2, templates[0], measure)[..., None, :, :]
+        return _kernel_scores(img, crop, s1, s2, templates, measure)
     return _every_score(crop, s1, s2, bank)
 
 
-def _patch_sums(img: np.ndarray, bounds, bank: _Bank):
+def _patch_sums(img: np.ndarray, bounds, bank: TemplateBank):
     """The float64 crop that box ``bounds`` reads, and its per-placement patch sums (s1 None for ``ccorr_normed``) and sums of squares."""
     x0, x1, y0, y1 = bounds
     th, tw = bank.templates[0].pixels.shape
@@ -314,37 +334,46 @@ def _patch_sums(img: np.ndarray, bounds, bank: _Bank):
     return crop, (s1 if bank.measure == CCOEFF_NORMED else None), s2
 
 
-def _one_scores(img: np.ndarray, crop: np.ndarray, s1, s2, tpl: Template, measure: str) -> np.ndarray:
-    """One template's scores at every placement of ``crop``, shape ``(..., oh, ow)``."""
-    kernel, total, energy = _terms(tpl, measure)
-    th, tw = kernel.shape
+def _kernel_scores(img: np.ndarray, crop: np.ndarray, s1, s2, templates: list[Template], measure: str) -> np.ndarray:
+    """k same-shape templates' scores at every placement of ``crop``, shape ``(..., k, oh, ow)``."""
+    kernels, totals, energies = zip(*(_terms(tpl, measure) for tpl in templates))
+    th, tw = kernels[0].shape
     oh, ow = s2.shape[-2:]
     if crop.shape == img.shape and img.ndim == 2:
         # the whole frame: valid placements never wrap, so the circular
         # correlation needs no padding beyond the frame
-        spectrum = tpl._spectra.get((img.shape, measure))
-        if spectrum is None:
-            spectrum = np.conj(np.fft.rfft2(kernel, s=img.shape))
-            tpl._spectra[(img.shape, measure)] = spectrum
-        cross = np.fft.irfft2(np.fft.rfft2(crop) * spectrum, s=img.shape)[:oh, :ow]
+        spectra = []
+        for tpl, kernel in zip(templates, kernels):
+            spectrum = tpl._spectra.get((img.shape, measure))
+            if spectrum is None:
+                spectrum = np.conj(np.fft.rfft2(kernel, s=img.shape))
+                tpl._spectra[(img.shape, measure)] = spectrum
+            spectra.append(spectrum)
+        spectra = spectra[0] if len(spectra) == 1 else np.stack(spectra)  # one spectrum broadcasts uncopied
+        cross = np.fft.irfft2(np.fft.rfft2(crop)[..., None, :, :] * spectra, s=img.shape)[..., :oh, :ow]
     else:
         # template row k slides along image row i + k: one banded matrix
-        # holds every horizontal shift, and output row i is rows i..i+th-1 times it
+        # holds every horizontal shift of every template, and output row i
+        # is rows i..i+th-1 times it.  Entry (t, j + i, r, j) is template
+        # r's pixel (t, i), written through a strided view of those entries
         w = crop.shape[-1]
-        band = np.zeros((th, w, ow))
-        j = np.arange(ow)
-        band[:, j[None, :] + np.arange(tw)[:, None], j] = kernel[:, :, None]
+        band = np.zeros((th, w, len(kernels), ow))
+        st, sx, sr, sj = band.strides
+        as_strided(band, (th, len(kernels), ow, tw), (st, sr, sx + sj, sx))[...] = np.swapaxes(kernels, 0, 1)[:, :, None]
         rows = np.swapaxes(sliding_window_view(crop, th, axis=-2), -1, -2)
-        cross = rows.reshape(crop.shape[:-2] + (oh, th * w)) @ band.reshape(th * w, ow)
-    return _normalize(cross, s1, s2, total, energy, th * tw)
+        cross = rows.reshape(crop.shape[:-2] + (oh, th * w)) @ band.reshape(th * w, -1)
+        cross = cross.reshape(crop.shape[:-2] + (oh, len(kernels), ow)).swapaxes(-2, -3)
+    totals = None if totals[0] is None else np.array(totals)[:, None, None]
+    return _normalize(cross, None if s1 is None else s1[..., None, :, :], s2[..., None, :, :],
+                      totals, np.array(energies)[:, None, None], th * tw)
 
 
-def _product(bank: _Bank, cols: np.ndarray, s1, s2) -> np.ndarray:
+def _product(bank: TemplateBank, cols: np.ndarray, s1, s2) -> np.ndarray:
     """Every template of ``bank`` scored at the m placements whose windows are the rows of ``cols`` ``(m, n)``: ``(R, m)``."""
     return _normalize(bank.kernels @ cols.T, s1, s2, bank.sums, bank.energies, cols.shape[1])
 
 
-def _every_score(crop: np.ndarray, s1, s2, bank: _Bank) -> np.ndarray:
+def _every_score(crop: np.ndarray, s1, s2, bank: TemplateBank) -> np.ndarray:
     """Every template of ``bank`` at every placement of ``crop``, shape ``(R, oh, ow)``.
 
     An im2col copy of the windows times the stacked kernels, in bands of
@@ -362,7 +391,7 @@ def _every_score(crop: np.ndarray, s1, s2, bank: _Bank) -> np.ndarray:
     return scores
 
 
-def _scores_at(windows: np.ndarray, s1, s2, bank: _Bank, flat: np.ndarray) -> np.ndarray:
+def _scores_at(windows: np.ndarray, s1, s2, bank: TemplateBank, flat: np.ndarray) -> np.ndarray:
     """Every template of ``bank`` at placements ``flat`` (row-major indices into ``s2``), shape ``(R, m)``, in bands."""
     ow = s2.shape[1]
     out = np.empty((len(bank.templates), flat.size))
@@ -481,15 +510,14 @@ def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
     full-frame best is returned with ``widened`` set, whatever its score.
     """
     centers, radius = (None, None) if region is None else (np.array([[region.center]]), region.radius)
-    positions, scores, widened = match_templates([image], [template], measure, centers, radius, min_score)
+    positions, scores, widened = match_templates([image], template_bank([template], measure), centers, radius, min_score)
     x, y = positions[0, 0].tolist()
     return MatchResult(position=(x, y), score=float(scores[0, 0]), widened=bool(widened[0, 0]))
 
 
-def match_templates(images, templates: list[Template], measure: str = CCOEFF_NORMED,
-                    centers: np.ndarray | None = None, radius: int | None = None,
-                    min_score: float = 0.5):
-    """Best subpixel placements of R same-shape templates in each of S same-shape images.
+def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = None,
+                    radius: int | None = None, min_score: float = 0.5):
+    """Best subpixel placements of a bank's R templates in each of S same-shape images.
 
     Template ``r`` is searched in image ``s`` within ``radius`` of
     ``centers[s, r]`` (x, y); without centres or radius every template
@@ -502,7 +530,7 @@ def match_templates(images, templates: list[Template], measure: str = CCOEFF_NOR
     of their own image.  Returns positions ``(S, R, 2)``, scores ``(S, R)``
     and widened flags ``(S, R)``.
     """
-    bank = _bank(templates, measure)
+    templates = bank.templates
     # each search converts its own frame or crops: all S in float64 at once raise the peak
     imgs = [_as_image(image, dtype=None) for image in images]
     shapes = imgs[0].shape, templates[0].pixels.shape
@@ -525,72 +553,82 @@ def match_templates(images, templates: list[Template], measure: str = CCOEFF_NOR
     widened = scores < min_score if regional else np.zeros(scores.shape, dtype=bool)
     for s in widened.any(axis=1).nonzero()[0]:
         redo = widened[s].nonzero()[0]
-        redo_bank = _bank([templates[r] for r in redo], measure)
-        positions[s, redo], scores[s, redo] = _best_in_boxes(imgs[s], redo_bank, placement_boxes(*shapes))
+        positions[s, redo], scores[s, redo] = _best_in_boxes(imgs[s], bank.take(redo.tolist()), placement_boxes(*shapes))
     return positions, scores, widened
 
 
-def _best_in_boxes(img: np.ndarray, bank: _Bank, boxes: np.ndarray):
+def _best_in_boxes(img: np.ndarray, bank: TemplateBank, boxes: np.ndarray):
     """Subpixel best placement of each template within its own box, from one union box.
 
     ``boxes`` is ``(R, 4)``, or ``(1, 4)`` for one box shared by all R.
-    R > 1 templates take the bounded search, or every score of the union
-    when their spread leaves the bank without a pivot.
+    R > 1 templates take the bounded search.
     """
     ux0, _, uy0, _ = boxes.min(axis=0).tolist()
     _, ux1, _, uy1 = boxes.max(axis=0).tolist()
     crop, s1, s2 = _patch_sums(img, (ux0, ux1, uy0, uy1), bank)
     if len(bank.templates) == 1:
-        peak = find_peak_subpixel(_one_scores(img, crop, s1, s2, bank.templates[0], bank.measure))
+        peak = find_peak_subpixel(_kernel_scores(img, crop, s1, s2, bank.templates, bank.measure)[0])
         return np.array([peak.position]) + (ux0, uy0), np.array([peak.score])
     boxes = np.broadcast_to(boxes, (len(bank.templates), 4))
-    inner = boxes - (ux0, ux0, uy0, uy0)
-    if bank.pivot is None:
-        positions, scores = pick_peaks(_every_score(crop, s1, s2, bank), inner)
-    else:
-        positions, scores = _bounded_peaks(img, crop, s1, s2, bank, inner)
+    positions, scores = _bounded_peaks(img, crop, s1, s2, bank, boxes - (ux0, ux0, uy0, uy0))
     return positions + boxes[:, [0, 2]], scores
 
 
-def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: _Bank, boxes: np.ndarray):
+def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray):
     """``pick_peaks`` of R > 1 templates in their ``boxes`` (indices into the union), scoring each only where its peak can be.
 
     With unit kernels ``t̂``, every score is ``<t̂, p̂>`` for a unit patch
-    ``p̂``, so by Cauchy-Schwarz ``|score_r(p) - score_q(p)| <= ||t̂_r - t̂_q||``
-    at every placement ``p`` (a flat patch scores 0 for all).  The pivot
-    ``q`` is scored over the whole union; each chain ``r`` is scored at the
-    pivot's best in its own box, which bounds its own best from below by
-    ``L_r``; so its best lies where ``score_q >= L_r - ||t̂_r - t̂_q||``.
-    Every template is scored at those candidates, in row-major order, and at
-    the four neighbours of its peak that the parabola reads.
+    ``p̂`` (a flat patch scores 0 for all).  The bank's basis approximates
+    ``t̂_r`` by ``sum_j C[r, j] u_j`` to within ``e_r``, so by Cauchy-Schwarz
+    ``|score_r(p) - sum_j C[r, j] b_j(p)| <= e_r`` at every placement ``p``,
+    where ``b_j`` scores ``u_j``.  The k basis maps are scored over the
+    whole union; each chain ``r`` is scored at its approximation's best in
+    its own box, which bounds its own best from below by ``L_r``; so its
+    best lies where the approximation reaches ``L_r - e_r``.  Every
+    template is scored at the union of those candidates, in row-major
+    order, and at the four neighbours of its peak that the parabola reads.
+    With one basis vector and positive coefficients, every chain of a box
+    peaks where the one map does, and one threshold on that map serves all.
     After L. Di Stefano, S. Mattoccia, "Fast template matching using bounded
     partial correlation", MVA 13 (2003), and S. Mattoccia, F. Tombari, L. Di
     Stefano, "Fast full-search equivalent template matching by Enhanced
     Bounded Correlation", IEEE TIP 17 (2008), with the bound taken across
-    templates instead of across the rows of one template.
+    templates instead of across the rows of one template, and M. Uenohara,
+    T. Kanade (IEEE TPAMI 19(8), 1997) for the basis.
     """
     oh, ow = s2.shape
     windows = sliding_window_view(crop, bank.templates[0].pixels.shape)
-    q, distances = bank.pivot
-    pivot = _one_scores(img, crop, s1, s2, bank.templates[q], bank.measure)
+    maps = _kernel_scores(img, crop, s1, s2, bank.basis, bank.measure)
     x0, x1, y0, y1 = boxes.T
     r = np.arange(len(boxes))
-    # L_r from chain r's own box, never from the union: the pivot's best in
-    # each distinct box, where every chain of that box is scored
-    _, first, which = np.unique(((x0 * ow + x1) * oh + y0) * oh + y1, return_index=True, return_inverse=True)
-    probes = []
-    for bx0, bx1, by0, by1 in boxes[first].tolist():
-        j, i = divmod(int(pivot[by0 : by1 + 1, bx0 : bx1 + 1].argmax()), bx1 - bx0 + 1)
-        probes.append((by0 + j) * ow + bx0 + i)
-    lower = _scores_at(windows, s1, s2, bank, np.array(probes))[r, which.ravel()]
     # the slack keeps the true argmax when rounding moves either side of the
-    # bound.  The pivot's FFT or Toeplitz map and the stacked product agree
-    # to 6e-12 on uint16 frames.  s2 - s1 * s1 / n rounds by up to half an
-    # ulp of n * 65535**2 (6e-5 for 13x13, 2.4e-4 for 31x31); that scales
-    # every score at the placement alike, by at most half that over the
-    # patch energy (>= 1 - 1/n when it is not flat), so the bound moves by at
-    # most the distance (<= 2) times it: under 3e-4 up to 31x31
-    cand = np.flatnonzero(pivot >= (lower - distances).min() - _BOUND_SLACK)
+    # bound.  A basis map (FFT or Toeplitz) and the stacked product agree to
+    # 6e-12 on uint16 frames.  s2 - s1 * s1 / n rounds by up to half an ulp
+    # of n * 65535**2 (6e-5 for 13x13, 2.4e-4 for 31x31); that scales every
+    # score at the placement alike, the exact ones and the basis maps, by at
+    # most half that over the patch energy (>= 1 - 1/n when it is not flat),
+    # so a score's distance from its approximation moves by at most its
+    # residual (<= 1) times it: under 1.2e-4 up to 31x31
+    floor = bank.residuals + _BOUND_SLACK
+    if len(maps) == 1 and (bank.coeffs > 0.0).all():
+        # L_r from chain r's own box, never from the union: the map's best in
+        # each distinct box, where every chain of that box is scored
+        _, first, which = np.unique(((x0 * ow + x1) * oh + y0) * oh + y1, return_index=True, return_inverse=True)
+        probes = []
+        for bx0, bx1, by0, by1 in boxes[first].tolist():
+            j, i = divmod(int(maps[0, by0 : by1 + 1, bx0 : bx1 + 1].argmax()), bx1 - bx0 + 1)
+            probes.append((by0 + j) * ow + bx0 + i)
+        lower = _scores_at(windows, s1, s2, bank, np.array(probes))[r, which.ravel()]
+        cand = np.flatnonzero(maps[0] >= ((lower - floor) / bank.coeffs[:, 0]).min())
+    else:
+        approx = bank.coeffs @ maps.reshape(len(maps), -1)
+        if (boxes != (0, ow - 1, 0, oh - 1)).any():  # some chain's box is smaller than the union
+            rows, cols = np.arange(oh), np.arange(ow)
+            inside = ((y0[:, None] <= rows) & (rows <= y1[:, None]))[:, :, None] & ((x0[:, None] <= cols) & (cols <= x1[:, None]))[:, None, :]
+            approx = np.where(inside.reshape(len(boxes), -1), approx, -np.inf)
+        probes, which = np.unique(approx.argmax(axis=1), return_inverse=True)
+        lower = _scores_at(windows, s1, s2, bank, probes)[r, which.ravel()]
+        cand = np.flatnonzero((approx >= (lower - floor)[:, None]).any(axis=0))
     # candidates in row-major order and the first maximum: ties resolve as in pick_peaks
     cy, cx = np.divmod(cand, ow)
     inside = (x0[:, None] <= cx) & (cx <= x1[:, None]) & (y0[:, None] <= cy) & (cy <= y1[:, None])
@@ -606,18 +644,17 @@ def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: _Bank, boxes
     return _refine(boxes, ix, iy, scores[r, best], left, right, up, down)
 
 
-def _best_in_stack(imgs: list[np.ndarray], bank: _Bank, boxes: np.ndarray):
+def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray):
     """Best placement of a bank's one template in box ``s`` of image ``s``, for all S boxes ``(S, 4)`` at once.
 
     The boxes grow to the largest one inside the frame, and the S crops are
     scored as one stack.  Returns positions ``(S, 1, 2)`` and scores ``(S, 1)``.
     """
-    template = bank.templates[0]
-    (th, tw), (ih, iw) = template.pixels.shape, imgs[0].shape
+    (th, tw), (ih, iw) = bank.templates[0].pixels.shape, imgs[0].shape
     sx, sy = (boxes[:, [1, 3]] - boxes[:, [0, 2]]).max(axis=0).tolist()
     corners = np.minimum(boxes[:, [0, 2]], (iw - tw - sx, ih - th - sy))
     crops = np.stack([img[y : y + sy + th, x : x + sx + tw] for img, (x, y) in zip(imgs, corners.tolist())])
     crop, s1, s2 = _patch_sums(crops, (0, sx, 0, sy), bank)
-    response = _one_scores(crops, crop, s1, s2, template, bank.measure)
+    response = _kernel_scores(crops, crop, s1, s2, bank.templates, bank.measure)[:, 0]
     positions, scores = pick_peaks(response, boxes - corners[:, [0, 0, 1, 1]])
     return (positions + boxes[:, [0, 2]])[:, None], scores[:, None]

@@ -35,6 +35,7 @@ from .tracker import (
     TrackTrace,
     locate_in_navigator,
     track_reference,
+    vessel_banks,
 )
 
 BASELINE_METHOD = "baseline"
@@ -169,16 +170,18 @@ def displacement_tables(
 
     # updating tracking yields one template set per reference frame, fixed
     # tracking only the frame-0 set; each set is one chain of priors through
-    # every sequence, and one call localizes all chains in navigator ordinal
-    # n of every sequence that still has one
+    # every sequence, each vessel's chains are stacked once for the run, and
+    # one call localizes all chains in navigator ordinal n of every sequence
+    # that still has one
     widened = int(trace.widened.sum())
+    banks = vessel_banks(sets, config.measure)
     navs = [seq.navigators() for seq in dataset.interleaved]
     located = [np.zeros((len(sets), len(nv), len(rois), 2)) for nv in navs]
     for n in range(max(map(len, navs))):
         live = [s for s, nv in enumerate(navs) if n < len(nv)]
         priors = np.stack([located[s][:, n - 1] for s in live]) if n else None
         found, _, wid = locate_in_navigator(
-            [navs[s][n] for s in live], sets, priors, config.measure, config.search_radius, config.min_score
+            [navs[s][n] for s in live], banks, priors, config.search_radius, config.min_score
         )
         for s, pos in zip(live, found):
             located[s][:, n] = pos

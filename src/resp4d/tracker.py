@@ -18,9 +18,10 @@ Two modes:
 
 A template set is the list of one reference frame's templates, one per
 vessel.  The interleaved sequences are localized in lockstep:
-``locate_in_navigator`` takes navigator ordinal ``n`` of all S sequences at
-once and returns, for R template sets of V vessels, positions
-``(S, R, V, 2)``, scores ``(S, R, V)`` and widened flags ``(S, R, V)``.
+``vessel_banks`` stacks R template sets of V vessels once, as one bank per
+vessel, and ``locate_in_navigator`` takes navigator ordinal ``n`` of all S
+sequences at once and returns positions ``(S, R, V, 2)``, scores
+``(S, R, V)`` and widened flags ``(S, R, V)``.
 
 ``track_reference`` makes one ``match_template`` call per (reference frame,
 vessel); ``match_template`` is ``matcher.match_templates`` of one image and
@@ -44,9 +45,11 @@ from .matcher import (
     MEASURES,
     SearchRegion,
     Template,
+    TemplateBank,
     cut_template,
     match_template,
     match_templates,
+    template_bank,
     template_degenerate,
 )
 
@@ -173,7 +176,8 @@ def track_reference(
             positions[i, v], scores[i, v], widened[i, v] = res.position, res.score, res.widened
         if mode == UPDATING:
             # each updating template searches one reference frame; in the
-            # navigators only each vessel's pivot reads a whole-frame spectrum
+            # navigators only the basis templates of each vessel's bank read
+            # whole-frame spectra, and the bank keeps them for the run
             for tpl in sets[-1]:
                 tpl._spectra.clear()
             sets.append(_cut_templates(frame, i, rois, positions[i], measure))
@@ -182,18 +186,23 @@ def track_reference(
     return trace, sets
 
 
+def vessel_banks(template_sets: list[list[Template]], measure: str) -> list[TemplateBank]:
+    """One bank per vessel of R template sets, holding vessel ``v``'s R chains, for ``locate_in_navigator``."""
+    return [template_bank([s[v] for s in template_sets], measure) for v in range(len(template_sets[0]))]
+
+
 def locate_in_navigator(
     navs: list[Frame],
-    template_sets: list[list[Template]],
+    banks: list[TemplateBank],
     priors: np.ndarray | None = None,
-    measure: str = CCOEFF_NORMED,
     search_radius: int | None = DEFAULT_SEARCH_RADIUS,
     min_score: float = DEFAULT_MIN_SCORE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Find every vessel of R template sets in the same navigator ordinal of S sequences.
 
-    ``navs`` holds one navigator per sequence.  Each set ``r`` is one chain
-    followed through every sequence; ``priors[s, r, v]`` (shape
+    ``navs`` holds one navigator per sequence and ``banks`` one bank per
+    vessel (``vessel_banks``), built once for every ordinal.  Each set ``r``
+    is one chain followed through every sequence; ``priors[s, r, v]`` (shape
     ``(S, R, V, 2)``, usually the chain's positions in sequence ``s``'s
     previous navigator) centres the search region for vessel ``v``.  Without
     priors, or with ``search_radius=None``, the whole frame is searched, one
@@ -203,7 +212,7 @@ def locate_in_navigator(
     serves all S x R chains.  Returns positions ``(S, R, V, 2)``, scores
     ``(S, R, V)`` and widened flags ``(S, R, V)``.
     """
-    shape = (len(navs), len(template_sets), len(template_sets[0]))
+    shape = (len(navs), len(banks[0].templates), len(banks))
     if priors is not None:
         priors = np.asarray(priors, dtype=np.float64)
         if priors.shape != shape + (2,):
@@ -211,9 +220,8 @@ def locate_in_navigator(
     positions = np.zeros(shape + (2,))
     scores = np.zeros(shape)
     widened = np.zeros(shape, dtype=bool)
-    for v in range(shape[2]):
+    for v, bank in enumerate(banks):
         positions[:, :, v], scores[:, :, v], widened[:, :, v] = match_templates(
-            navs, [s[v] for s in template_sets], measure,
-            None if priors is None else priors[:, :, v], search_radius, min_score,
+            navs, bank, None if priors is None else priors[:, :, v], search_radius, min_score,
         )
     return positions, scores, widened

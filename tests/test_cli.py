@@ -396,6 +396,21 @@ def test_navigators_off_the_reference_slice_fail_validation(workdir, tmp_path, c
     assert err == f"error: {broken}: dataset: interleaved sequence 0 has its navigators at 50.0 mm, the references at [0.0, 0.0] mm\n"
 
 
+def test_reference_steps_off_the_frame_period_fail_validation(workdir, tmp_path, capsys):
+    _, dataset_dir = workdir
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset_dir, broken)
+    meta = json.loads((broken / "ref1" / "seq.json").read_text())
+    meta["timestamps_ms"][3:] = [t + 50.0 for t in meta["timestamps_ms"][3:]]
+    (broken / "ref1" / "seq.json").write_text(json.dumps(meta))
+    assert main(["validate", "--dataset", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {broken / 'ref1'}: reference sequence: frame 3 comes 250.0 ms after frame 2, "
+        "not one frame period (200.0 ms, within 1%)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "entry",
     [lambda root: str(root / "other" / "il000"), lambda root: "../other/il000", lambda root: "il000"],

@@ -161,14 +161,20 @@ def test_frame_metadata_must_be_finite(kind, key, value):
     assert str(exc.value) == f"frame {key} must be finite, got {value}"
 
 
+def _retimed(ref, period):
+    """``ref`` with its frames stamped one ``period`` apart from its first."""
+    t0 = ref.frames[0].timestamp_ms
+    return ReferenceSequence([replace(f, timestamp_ms=t0 + i * period) for i, f in enumerate(ref.frames)], period)
+
+
 def test_references_share_one_frame_period(small, tmp_path):
     # dataset.json stores one period, so two that differ could not survive a round trip
-    ref1 = replace(small.reference_1, frame_period_ms=1e6)
-    ref2 = replace(small.reference_2, frame_period_ms=300.0)
+    ref1 = _retimed(small.reference_1, 1e6)
+    ref2 = _retimed(small.reference_2, 300.0)
     with pytest.raises(ValidationError) as exc:
         replace(small, reference_1=ref1, reference_2=ref2)
     assert str(exc.value) == "dataset: references disagree on frame_period_ms [1000000.0, 300.0]"
-    same = replace(small, reference_1=replace(ref1, frame_period_ms=300.0), reference_2=ref2)
+    same = replace(small, reference_1=_retimed(ref1, 300.0), reference_2=ref2)
     loaded = load_dataset(write_dataset(same, tmp_path / "ds"))
     assert loaded.reference_1.frame_period_ms == loaded.reference_2.frame_period_ms == 300.0
 
@@ -270,3 +276,20 @@ def test_only_imgcore_reads_and_writes_json():
         if found:
             users[path.name] = found
     assert users == {"imgcore.py": {"json.loads", "json.dumps", "get_type_hints", "is_dataclass"}}
+
+
+def test_reference_frames_step_by_the_frame_period(small):
+    # the phantom stamps its reference frames exactly one period apart
+    frames = small.reference_1.frames
+    assert np.diff([f.timestamp_ms for f in frames]).tolist() == [200.0] * (len(frames) - 1)
+    # a step off the period by the tolerance or less passes, a larger one is refused
+    late = [replace(f, timestamp_ms=f.timestamp_ms + (2.0 if i >= 3 else 0.0)) for i, f in enumerate(frames)]
+    ReferenceSequence(late, 200.0)
+    later = [replace(f, timestamp_ms=f.timestamp_ms + (2.5 if i >= 3 else 0.0)) for i, f in enumerate(frames)]
+    with pytest.raises(ValidationError) as exc:
+        ReferenceSequence(later, 200.0)
+    assert str(exc.value) == (
+        "reference sequence: frame 3 comes 202.5 ms after frame 2, not one frame period (200.0 ms, within 1%)"
+    )
+    with pytest.raises(ValidationError, match="frame 1 comes 200.0 ms after frame 0, not one frame period .100.0 ms"):
+        replace(small.reference_1, frame_period_ms=100.0)

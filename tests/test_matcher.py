@@ -22,6 +22,7 @@ from resp4d.matcher import (
     placement_bounds,
     placement_boxes,
     response_map,
+    template_bank,
 )
 
 
@@ -179,7 +180,7 @@ def test_region_self_match_is_exact(measure, spectral_calls):
         res = match_template(img, tpl, measure, SearchRegion(center=(x + 1.5, y - 2.0), radius=6))
         assert (res.position, res.score, res.widened) == ((float(x), float(y)), 1.0, False)
         centres = np.array([[[x + 1.5, y - 2.0]], [[x - 3.0, y + 4.0]]])
-        positions, scores, widened = match_templates([img, img], [tpl], measure, centers=centres, radius=6)
+        positions, scores, widened = match_templates([img, img], template_bank([tpl], measure), centers=centres, radius=6)
         assert positions.tolist() == [[[x, y]]] * 2 and scores.tolist() == [[1.0]] * 2 and not widened.any()
     assert not spectral_calls
 
@@ -212,11 +213,12 @@ def test_match_templates_rejects_centres_of_the_wrong_shape():
     imgs = [_rng_image(27), _rng_image(28)]
     tpls = [cut_template(imgs[0], x, 5, 8, 6) for x in (3, 20, 30)]
     centres = np.full((2, 3, 2), 12.0)
-    match_templates(imgs, tpls, centers=centres, radius=4)
+    bank = template_bank(tpls, CCOEFF_NORMED)
+    match_templates(imgs, bank, centers=centres, radius=4)
     # (R, S, 2) instead of (S, R, 2) would reshape silently onto the wrong chains
     for bad in (centres.transpose(1, 0, 2), centres[:, :2], centres.reshape(-1, 2)):
         with pytest.raises(ValueError, match=r"centres must have shape \(2, 3, 2\)"):
-            match_templates(imgs, tpls, centers=bad, radius=4)
+            match_templates(imgs, bank, centers=bad, radius=4)
 
 
 def test_match_scores_takes_a_stack_for_one_template_only():
@@ -467,28 +469,44 @@ def _bounded_case(rng, kind, measure):
 @pytest.mark.parametrize("kind", ["near", "spread", "ties", "cap", "flat"])
 def test_bounded_search_equals_the_full_search(monkeypatch, kind, measure):
     """R > 1 templates give the peaks, positions, scores and widened flags of a full search."""
-    refined, paths = [], {"full": 0}
-    refine, every_score = matcher._refine, matcher._every_score
+    refined, searches = [], []
+    refine, bounded, scores_at = matcher._refine, matcher._bounded_peaks, matcher._scores_at
 
     def recording_refine(boxes, ix, iy, *args):
         refined.append(np.stack([ix - boxes[:, 0], iy - boxes[:, 2]], axis=1))
         return refine(boxes, ix, iy, *args)
 
-    def counted_every_score(*args):
-        paths["full"] += 1
-        return every_score(*args)
+    def recording_bounded(img, crop, s1, s2, bank, boxes):
+        # placements in the union, placements scored exactly, basis size
+        searches.append([s2.size, 0, len(bank.basis)])
+        return bounded(img, crop, s1, s2, bank, boxes)
+
+    def counted_scores_at(windows, s1, s2, bank, flat):
+        searches[-1][1] += flat.size
+        return scores_at(windows, s1, s2, bank, flat)
+
+    def no_full_product(*args):
+        raise AssertionError("a search scored every template at every placement")
 
     monkeypatch.setattr(matcher, "_refine", recording_refine)
-    monkeypatch.setattr(matcher, "_every_score", counted_every_score)
+    monkeypatch.setattr(matcher, "_bounded_peaks", recording_bounded)
+    monkeypatch.setattr(matcher, "_scores_at", counted_scores_at)
     rng = np.random.default_rng([17, MEASURES.index(measure)])
     pruned = 0
     for _ in range(30):
         img, templates, centers, radius = _bounded_case(rng, kind, measure)
         min_score = float(rng.uniform(0.2, 0.6))
         refined.clear()
-        full_before = paths["full"]
-        positions, scores, widened = match_templates([img], templates, measure, centers[None], radius, min_score)
-        pruned += paths["full"] == full_before
+        searches.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(matcher, "_every_score", no_full_product)
+            positions, scores, widened = match_templates(
+                [img], template_bank(templates, measure), centers[None], radius, min_score
+            )
+        placements, scored, k = searches[0]
+        pruned += scored < placements
+        # templates that differ by noise take one basis vector; unrelated cuts need up to one each
+        assert k == 1 if kind != "spread" else 1 <= k <= len(templates)
         boxes = placement_boxes(img.shape, templates[0].pixels.shape, centers, radius)
         peaks, want_positions, want_scores, want_widened = _full_search_oracle(
             img, templates, measure, np.broadcast_to(boxes, (len(templates), 4)), min_score, radius is not None
@@ -497,9 +515,43 @@ def test_bounded_search_equals_the_full_search(monkeypatch, kind, measure):
         assert np.array_equal(widened[0], want_widened)
         np.testing.assert_allclose(positions[0], want_positions, rtol=0, atol=1e-9)
         np.testing.assert_allclose(scores[0], want_scores, rtol=0, atol=1e-9)
-    # templates cut at unrelated places never prune; close ones prune, except
-    # where a small box or a weak best leaves too many candidates
-    assert pruned == 0 if kind == "spread" else pruned >= 5
+    # every kind scores fewer placements exactly than its union holds in most
+    # cases, except where small boxes, flat patches or weak bests leave many
+    # candidates; unrelated cuts prune only because they score one basis map
+    # per template
+    assert pruned >= 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    measure=st.sampled_from(MEASURES),
+    count=st.integers(2, 8),
+    near=st.booleans(),
+)
+def test_every_score_lies_within_its_residual_of_the_basis(seed, measure, count, near):
+    """|score_r - sum_j C[r, j] b_j| <= e_r at every placement of a uint16 frame, flat patches included."""
+    rng = np.random.default_rng(seed)
+    ih, iw = (int(v) for v in rng.integers(16, 40, size=2))
+    th, tw = (int(v) for v in rng.integers(2, 10, size=2))
+    img = rng.integers(0, 2**16, size=(ih, iw)).astype(np.uint16)
+    img[: ih // 3] = 0  # flat for both measures
+    img[:, : iw // 4] = 7  # flat for ccoeff_normed only
+    if near:
+        base = rng.integers(0, 2**16, size=(th, tw)).astype(np.float64)
+        pixels = base + rng.normal(scale=0.01 * base.std(), size=(count, th, tw))
+    else:
+        pixels = rng.integers(0, 2**16, size=(count, th, tw)).astype(np.float64)
+    templates = [Template(p) for p in pixels]
+    bank = template_bank(templates, measure)
+    k = len(bank.basis)
+    assert 1 <= k <= count
+    assert k == 1 or not near  # templates that differ by noise share one basis vector
+    bounds = placement_bounds(img.shape, (th, tw))
+    approx = np.tensordot(bank.coeffs, match_scores(img, bank.basis, measure, bounds), 1)
+    error = np.abs(match_scores(img, templates, measure, bounds) - approx)
+    assert np.all(error <= bank.residuals[:, None, None] + 1e-9)
+    assert np.all(bank.residuals <= matcher._RESIDUAL_MAX + 1e-9)
 
 
 @settings(max_examples=30, deadline=None)

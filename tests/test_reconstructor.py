@@ -32,7 +32,7 @@ from resp4d.reconstructor import (
     reconstruct,
     save_reconstruction,
 )
-from resp4d.tracker import FIXED, UPDATING, Roi, locate_in_navigator, track_reference
+from resp4d.tracker import FIXED, UPDATING, Roi, locate_in_navigator, track_reference, vessel_banks
 
 from conftest import replay_spec, split_vessel_spec
 
@@ -202,10 +202,11 @@ def _assert_matches_per_call_path(dataset, rois, config, monkeypatch):
     # navigator ordinal n of every sequence that has one, given the reference's
     # own priors, scores and places every chain alike
     navs = [seq.navigators() for seq in dataset.interleaved]
+    banks = vessel_banks(sets, measure)
     for n in range(max(map(len, navs))):
         live = [s for s, nv in enumerate(navs) if n < len(nv)]
         priors = np.stack([chains[s][0][:, n - 1] for s in live]) if n else None
-        got = locate_in_navigator([navs[s][n] for s in live], sets, priors, measure, search_radius, config.min_score)
+        got = locate_in_navigator([navs[s][n] for s in live], banks, priors, search_radius, config.min_score)
         for i, s in enumerate(live):
             pos, score, wid = chains[s]
             np.testing.assert_allclose(got[0][i], pos[:, n], rtol=0, atol=1e-9)
@@ -289,27 +290,37 @@ EQUIVALENCE_PHANTOMS = {
 
 @pytest.mark.parametrize("name", list(EQUIVALENCE_PHANTOMS))
 def test_bounded_localization_decides_as_the_full_search(monkeypatch, name):
-    """The updating method's tables, decisions and widened counts, with and without the bounded search."""
+    """The updating method's tables, decisions and widened counts, with the bounded search and with the full one."""
     spec, seed = EQUIVALENCE_PHANTOMS[name]
     dataset, truth = generate_phantom(spec, seed=seed)
     rois = suggested_rois(spec, truth)
-    full_products = []
-    every_score = matcher._every_score
+    searches, full_products = [], []
+    bounded, scores_at = matcher._bounded_peaks, matcher._scores_at
 
-    def counted(*args):
-        full_products.append(len(args[-1].templates))
-        return every_score(*args)
+    def recording_bounded(img, crop, s1, s2, bank, boxes):
+        searches.append([s2.size, 0])  # placements in the union, placements scored exactly
+        return bounded(img, crop, s1, s2, bank, boxes)
 
-    monkeypatch.setattr(matcher, "_every_score", counted)
+    def counted_scores_at(windows, s1, s2, bank, flat):
+        searches[-1][1] += flat.size
+        return scores_at(windows, s1, s2, bank, flat)
+
+    def full_search(img, crop, s1, s2, bank, boxes):
+        # the R > 1 branch of _best_in_boxes as a full search: every chain at every placement
+        full_products.append(len(bank.templates))
+        return matcher.pick_peaks(matcher._every_score(crop, s1, s2, bank), boxes)
+
+    monkeypatch.setattr(matcher, "_bounded_peaks", recording_bounded)
+    monkeypatch.setattr(matcher, "_scores_at", counted_scores_at)
     for measure in (CCOEFF_NORMED, CCORR_NORMED):
         for search_radius in (10, None):
             config = ReconstructionConfig(measure=measure, search_radius=search_radius)
-            full_products.clear()
+            searches.clear()
             tables, widened = displacement_tables(dataset, rois, config)
-            if name == "default":
-                assert not full_products  # one vessel appearance: every R > 1 search prunes
+            # every R > 1 search, the split vessel's included, leaves placements unscored
+            assert searches and all(scored < placements for placements, scored in searches)
             with monkeypatch.context() as forced:
-                forced.setattr(matcher, "_SPREAD_MAX", -1.0)
+                forced.setattr(matcher, "_bounded_peaks", full_search)
                 want_tables, want_widened = displacement_tables(dataset, rois, config)
             assert full_products  # the forced run scores every chain everywhere
             assert widened == want_widened

@@ -19,6 +19,7 @@ from resp4d.tracker import (
     rois_from_obj,
     rois_to_obj,
     track_reference,
+    vessel_banks,
     write_trace_csv,
 )
 
@@ -187,7 +188,7 @@ def test_fixed_tracking_is_one_whole_frame_call_per_frame_and_vessel(monkeypatch
 def test_locate_in_same_frame_is_exact():
     ref = _sequence([(24.0, 24.0)] * 2)
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    positions, scores, widened = locate_in_navigator([ref.frames[0]], sets, priors=[[[(18.0, 18.0)]]])
+    positions, scores, widened = locate_in_navigator([ref.frames[0]], vessel_banks(sets, CCOEFF_NORMED), priors=[[[(18.0, 18.0)]]])
     assert positions.shape == (1, 1, 1, 2) and scores.shape == widened.shape == (1, 1, 1)
     assert tuple(positions[0, 0, 0]) == (18.0, 18.0)
     assert scores[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
@@ -198,7 +199,7 @@ def test_locate_follows_a_shift_within_the_region():
     ref = _sequence([(24.0, 24.0)])
     shifted = _sequence([(24.0, 27.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    positions, _, widened = locate_in_navigator([shifted.frames[0]], sets, priors=[[[(18.0, 18.0)]]], search_radius=5)
+    positions, _, widened = locate_in_navigator([shifted.frames[0]], vessel_banks(sets, CCOEFF_NORMED), priors=[[[(18.0, 18.0)]]], search_radius=5)
     assert tuple(positions[0, 0, 0]) == (18.0, 21.0)
     assert not widened.any()
 
@@ -206,7 +207,7 @@ def test_locate_follows_a_shift_within_the_region():
 def test_locate_widens_when_the_prior_is_wrong():
     ref = _sequence([(24.0, 24.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
-    positions, _, widened = locate_in_navigator([ref.frames[0]], sets, priors=[[[(2.0, 2.0)]]], search_radius=3)
+    positions, _, widened = locate_in_navigator([ref.frames[0]], vessel_banks(sets, CCOEFF_NORMED), priors=[[[(2.0, 2.0)]]], search_radius=3)
     assert widened[0, 0, 0]
     assert tuple(positions[0, 0, 0]) == (18.0, 18.0)
 
@@ -215,11 +216,11 @@ def test_locate_rejects_mismatched_priors():
     ref = _sequence([(24.0, 24.0)])
     _, sets = track_reference(ref, _ROI, mode=FIXED)
     with pytest.raises(ValueError, match="priors"):
-        locate_in_navigator([ref.frames[0]], sets, priors=[[[(0.0, 0.0), (1.0, 1.0)]]])
+        locate_in_navigator([ref.frames[0]], vessel_banks(sets, CCOEFF_NORMED), priors=[[[(0.0, 0.0), (1.0, 1.0)]]])
     with pytest.raises(ValueError, match="priors"):
-        locate_in_navigator([ref.frames[0]], sets * 2, priors=[[[(0.0, 0.0)]]])
+        locate_in_navigator([ref.frames[0]], vessel_banks(sets * 2, CCOEFF_NORMED), priors=[[[(0.0, 0.0)]]])
     with pytest.raises(ValueError, match="priors"):
-        locate_in_navigator([ref.frames[0]] * 2, sets, priors=[[[(0.0, 0.0)]]])
+        locate_in_navigator([ref.frames[0]] * 2, vessel_banks(sets, CCOEFF_NORMED), priors=[[[(0.0, 0.0)]]])
 
 
 @pytest.mark.parametrize("min_score, widened", [(-1.0, [False, False, False]), (0.5, [True, False, False])])
@@ -230,7 +231,7 @@ def test_locate_batches_chains_as_separate_calls_would(min_score, widened):
     _, sets = track_reference(_sequence([(24.0, 24.0 + i) for i in range(3)]), _ROI, mode=UPDATING)
     nav = _sequence([(24.0, 25.0)]).frames[0]
     priors = np.array([[(1.0, 1.5)], [(18.0, 19.0)], [(17.0, 18.0)]])
-    positions, scores, flags = (out[0] for out in locate_in_navigator([nav], sets, priors[None], search_radius=3, min_score=min_score))
+    positions, scores, flags = (out[0] for out in locate_in_navigator([nav], vessel_banks(sets, CCOEFF_NORMED), priors[None], search_radius=3, min_score=min_score))
     assert math.ceil(priors[0, 0, 0] - 3) < 0
     assert flags[:, 0].tolist() == widened
     for r, tset in enumerate(sets):
@@ -275,7 +276,7 @@ def test_lockstep_locate_matches_per_chain_calls(mode, measure, search_radius):
     # one weak chain widens, then (above any score) every chain of every sequence
     for min_score, n_widened in [((regional[0] + regional[1]) / 2, 1), (2.0, 3 * n_sets)]:
         want = per_chain(min_score)
-        positions, scores, flags = locate_in_navigator(navs, sets, priors, measure, search_radius, min_score)
+        positions, scores, flags = locate_in_navigator(navs, vessel_banks(sets, measure), priors, search_radius, min_score)
         assert positions.shape == (3, n_sets, 1, 2) and scores.shape == flags.shape == (3, n_sets, 1)
         assert flags[..., 0].tolist() == [[res.widened for res in row] for row in want]
         assert flags.sum() == (n_widened if search_radius else 0)
