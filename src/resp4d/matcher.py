@@ -598,6 +598,33 @@ def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: TemplateBank
     """
     oh, ow = s2.shape
     windows = sliding_window_view(crop, bank.templates[0].pixels.shape)
+    cand = _candidates(img, crop, s1, s2, bank, boxes, windows)
+    x0, x1, y0, y1 = boxes.T
+    r = np.arange(len(boxes))
+    # candidates in row-major order and the first maximum: ties resolve as in pick_peaks
+    cy, cx = np.divmod(cand, ow)
+    inside = (x0[:, None] <= cx) & (cx <= x1[:, None]) & (y0[:, None] <= cy) & (cy <= y1[:, None])
+    scores = np.where(inside, _scores_at(windows, s1, s2, bank, cand), -np.inf)
+    best = scores.argmax(axis=1)
+    iy, ix = cy[best], cx[best]
+    around = np.concatenate([
+        iy * ow + np.maximum(ix - 1, 0), iy * ow + np.minimum(ix + 1, ow - 1),
+        np.maximum(iy - 1, 0) * ow + ix, np.minimum(iy + 1, oh - 1) * ow + ix,
+    ])
+    near, at = np.unique(around, return_inverse=True)
+    left, right, up, down = _scores_at(windows, s1, s2, bank, near)[r, at.reshape(4, -1)]
+    return _refine(boxes, ix, iy, scores[r, best], left, right, up, down)
+
+
+def _candidates(img: np.ndarray, crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray,
+                windows: np.ndarray) -> np.ndarray:
+    """Row-major indices of the union's placements where some template of ``_bounded_peaks`` can peak.
+
+    The basis maps and the chains' approximations, each as large as the
+    full search's band of scores, are dropped on return, before the
+    candidates are scored.
+    """
+    oh, ow = s2.shape
     maps = _kernel_scores(img, crop, s1, s2, bank.basis, bank.measure)
     x0, x1, y0, y1 = boxes.T
     r = np.arange(len(boxes))
@@ -619,29 +646,15 @@ def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: TemplateBank
             j, i = divmod(int(maps[0, by0 : by1 + 1, bx0 : bx1 + 1].argmax()), bx1 - bx0 + 1)
             probes.append((by0 + j) * ow + bx0 + i)
         lower = _scores_at(windows, s1, s2, bank, np.array(probes))[r, which.ravel()]
-        cand = np.flatnonzero(maps[0] >= ((lower - floor) / bank.coeffs[:, 0]).min())
-    else:
-        approx = bank.coeffs @ maps.reshape(len(maps), -1)
-        if (boxes != (0, ow - 1, 0, oh - 1)).any():  # some chain's box is smaller than the union
-            rows, cols = np.arange(oh), np.arange(ow)
-            inside = ((y0[:, None] <= rows) & (rows <= y1[:, None]))[:, :, None] & ((x0[:, None] <= cols) & (cols <= x1[:, None]))[:, None, :]
-            approx = np.where(inside.reshape(len(boxes), -1), approx, -np.inf)
-        probes, which = np.unique(approx.argmax(axis=1), return_inverse=True)
-        lower = _scores_at(windows, s1, s2, bank, probes)[r, which.ravel()]
-        cand = np.flatnonzero((approx >= (lower - floor)[:, None]).any(axis=0))
-    # candidates in row-major order and the first maximum: ties resolve as in pick_peaks
-    cy, cx = np.divmod(cand, ow)
-    inside = (x0[:, None] <= cx) & (cx <= x1[:, None]) & (y0[:, None] <= cy) & (cy <= y1[:, None])
-    scores = np.where(inside, _scores_at(windows, s1, s2, bank, cand), -np.inf)
-    best = scores.argmax(axis=1)
-    iy, ix = cy[best], cx[best]
-    around = np.concatenate([
-        iy * ow + np.maximum(ix - 1, 0), iy * ow + np.minimum(ix + 1, ow - 1),
-        np.maximum(iy - 1, 0) * ow + ix, np.minimum(iy + 1, oh - 1) * ow + ix,
-    ])
-    near, at = np.unique(around, return_inverse=True)
-    left, right, up, down = _scores_at(windows, s1, s2, bank, near)[r, at.reshape(4, -1)]
-    return _refine(boxes, ix, iy, scores[r, best], left, right, up, down)
+        return np.flatnonzero(maps[0] >= ((lower - floor) / bank.coeffs[:, 0]).min())
+    approx = bank.coeffs @ maps.reshape(len(maps), -1)
+    if (boxes != (0, ow - 1, 0, oh - 1)).any():  # some chain's box is smaller than the union
+        rows, cols = np.arange(oh), np.arange(ow)
+        inside = ((y0[:, None] <= rows) & (rows <= y1[:, None]))[:, :, None] & ((x0[:, None] <= cols) & (cols <= x1[:, None]))[:, None, :]
+        approx = np.where(inside.reshape(len(boxes), -1), approx, -np.inf)
+    probes, which = np.unique(approx.argmax(axis=1), return_inverse=True)
+    lower = _scores_at(windows, s1, s2, bank, probes)[r, which.ravel()]
+    return np.flatnonzero((approx >= (lower - floor)[:, None]).any(axis=0))
 
 
 def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray):
