@@ -24,22 +24,24 @@ of placements being the ``th`` image rows it covers times one banded
 R > 1 templates are products of an im2col copy of the windows with the
 stacked ``(R, n)`` template matrix, taken in bands of placements.
 
-R > 1 templates in one box are found by a bounded search that gives the
-result of scoring all of them everywhere (``_bounded_peaks``).  Divided by
+R > 1 templates in their boxes of S images are found by one bounded
+search over the stack of the images' crops, with the result of scoring all
+of them everywhere (``_bounded_peaks``).  Divided by
 its norm, each kernel is a unit vector, and so is each patch.  Each bank
 keeps the fewest top singular vectors of its unit kernels that leave every
 kernel within ``_RESIDUAL_MAX`` of their span, after M. Uenohara and T.
 Kanade, "Use of Fourier and Karhunen-Loeve decomposition for fast pattern
 matching with a large set of templates", IEEE TPAMI 19(8), 1997; a
 template's score then differs from its projection's by at most its
-residual.  The k basis vectors are scored over the whole box, and every
+residual.  The k basis vectors are scored over the whole stack, and every
 template only where its projection leaves room for its best.  The chains
 of one vessel appearance lie within 0.02 of one basis vector and leave about
 1 % of the placements to score; the chains of a vessel whose appearance
 changes with breathing lie within 0.11 of three or four, and leave 1-14 %.
 
 ``match_templates`` is the one search: S images by R templates, each in its
-own region or over the whole frame, widening weak regional bests.
+own region (all S images as one stack) or over the whole frame (one image
+at a time), widening weak regional bests.
 ``match_template`` is ``match_templates`` of one image and one template, and
 ``placement_bounds`` row 0 of ``placement_boxes``.
 """
@@ -210,19 +212,17 @@ def placement_boxes(
     return np.minimum(np.maximum(corners, 0), (xmax, ymax) * 2).astype(np.intp)[:, [0, 2, 1, 3]]
 
 
-def _window_sums(crop: np.ndarray, th: int, tw: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-placement patch sum and sum of squares via integral images, over any leading axes."""
-    h, w = crop.shape[-2:]
-    ii1 = np.zeros(crop.shape[:-2] + (h + 1, w + 1))
-    ii2 = np.zeros(crop.shape[:-2] + (h + 1, w + 1))
-    ii1[..., 1:, 1:] = crop.cumsum(axis=-2).cumsum(axis=-1)
-    ii2[..., 1:, 1:] = (crop * crop).cumsum(axis=-2).cumsum(axis=-1)
+def _window_sums(crop: np.ndarray, shape: tuple[int, int], measure: str):
+    """Per-placement patch sums (None for ``ccorr_normed``) and sums of squares via integral images, over any leading axes."""
+    (h, w), (th, tw) = crop.shape[-2:], shape
     oh, ow = h - th + 1, w - tw + 1
 
-    def window(ii):
+    def window(values):
+        ii = np.zeros(crop.shape[:-2] + (h + 1, w + 1))
+        ii[..., 1:, 1:] = values.cumsum(axis=-2).cumsum(axis=-1)
         return ii[..., th:, tw:] - ii[..., :oh, tw:] - ii[..., th:, :ow] + ii[..., :oh, :ow]
 
-    return window(ii1), window(ii2)
+    return (window(crop) if measure == CCOEFF_NORMED else None), window(crop * crop)
 
 
 def response_map(image, template: Template, measure: str = CCOEFF_NORMED) -> np.ndarray:
@@ -305,7 +305,10 @@ def _basis(unit: np.ndarray, shape: tuple[int, int], measure: str):
     """
     rest, directions = unit, []
     while (rest * rest).sum(axis=1).max() > _RESIDUAL_MAX**2:
-        gram = rest @ rest.T
+        # einsum's own loops, not BLAS: OpenBLAS threads A @ A.T (syrk) and
+        # A @ A.T.copy() (gemm) past size thresholds, and the first threaded
+        # calls of a process take 10-20 ms and slow the rest of its operation
+        gram = np.einsum("ij,kj->ik", rest, rest)
         x = gram[np.argmax(np.diag(gram))]
         for _ in range(_POWER_STEPS):
             x = gram @ x
@@ -334,38 +337,32 @@ def match_scores(image, templates: list[Template], measure: str,
     """
     bank = template_bank(templates, measure)
     img = _as_image(image, stack=len(templates) == 1)
-    crop, s1, s2 = _patch_sums(img, bounds, bank)
+    x0, x1, y0, y1 = bounds
+    th, tw = templates[0].pixels.shape
+    crop = img[..., y0 : y1 + th, x0 : x1 + tw]
+    s1, s2 = _window_sums(crop, (th, tw), measure)
     if len(templates) == 1:
-        return _kernel_scores(img, crop, s1, s2, templates, measure)
+        return _kernel_scores(img.shape[-2:], crop, s1, s2, templates, measure)
     return _every_score(crop, s1, s2, bank)
 
 
-def _patch_sums(img: np.ndarray, bounds, bank: TemplateBank):
-    """The float64 crop that box ``bounds`` reads, and its per-placement patch sums (s1 None for ``ccorr_normed``) and sums of squares."""
-    x0, x1, y0, y1 = bounds
-    th, tw = bank.templates[0].pixels.shape
-    crop = np.asarray(img[..., y0 : y1 + th, x0 : x1 + tw], dtype=np.float64)
-    s1, s2 = _window_sums(crop, th, tw)
-    return crop, (s1 if bank.measure == CCOEFF_NORMED else None), s2
-
-
-def _kernel_scores(img: np.ndarray, crop: np.ndarray, s1, s2, templates: list[Template], measure: str) -> np.ndarray:
-    """k same-shape templates' scores at every placement of ``crop``, shape ``(..., k, oh, ow)``."""
+def _kernel_scores(frame: tuple[int, int], crop: np.ndarray, s1, s2, templates: list[Template], measure: str) -> np.ndarray:
+    """k same-shape templates' scores at every placement of ``crop``, cut from frames of shape ``frame``: ``(..., k, oh, ow)``."""
     kernels, totals, energies = zip(*(_terms(tpl, measure) for tpl in templates))
     th, tw = kernels[0].shape
     oh, ow = s2.shape[-2:]
-    if crop.shape == img.shape and img.ndim == 2:
-        # the whole frame: valid placements never wrap, so the circular
+    if crop.shape[-2:] == frame and crop.size == frame[0] * frame[1]:
+        # one whole frame: valid placements never wrap, so the circular
         # correlation needs no padding beyond the frame
         spectra = []
         for tpl, kernel in zip(templates, kernels):
-            spectrum = tpl._spectra.get((img.shape, measure))
+            spectrum = tpl._spectra.get((frame, measure))
             if spectrum is None:
-                spectrum = np.conj(np.fft.rfft2(kernel, s=img.shape))
-                tpl._spectra[(img.shape, measure)] = spectrum
+                spectrum = np.conj(np.fft.rfft2(kernel, s=frame))
+                tpl._spectra[(frame, measure)] = spectrum
             spectra.append(spectrum)
         spectra = spectra[0] if len(spectra) == 1 else np.stack(spectra)  # one spectrum broadcasts uncopied
-        cross = np.fft.irfft2(np.fft.rfft2(crop)[..., None, :, :] * spectra, s=img.shape)[..., :oh, :ow]
+        cross = np.fft.irfft2(np.fft.rfft2(crop)[..., None, :, :] * spectra, s=frame)[..., :oh, :ow]
     else:
         # template row k slides along image row i + k: one banded matrix
         # holds every horizontal shift of every template, and output row i
@@ -408,12 +405,11 @@ def _every_score(crop: np.ndarray, s1, s2, bank: TemplateBank) -> np.ndarray:
 
 def _scores_at(windows: np.ndarray, s1, s2, bank: TemplateBank, flat: np.ndarray) -> np.ndarray:
     """Every template of ``bank`` at placements ``flat`` (row-major indices into ``s2``), shape ``(R, m)``, in bands."""
-    ow = s2.shape[1]
     out = np.empty((len(bank.templates), flat.size))
     for k in range(0, flat.size, _BAND_PLACEMENTS):
-        iy, ix = np.divmod(flat[k : k + _BAND_PLACEMENTS], ow)
-        cols = windows[iy, ix].reshape(iy.size, -1)
-        out[:, k : k + _BAND_PLACEMENTS] = _product(bank, cols, None if s1 is None else s1[iy, ix], s2[iy, ix])
+        at = np.unravel_index(flat[k : k + _BAND_PLACEMENTS], s2.shape)
+        cols = windows[at].reshape(at[0].size, -1)
+        out[:, k : k + _BAND_PLACEMENTS] = _product(bank, cols, None if s1 is None else s1[at], s2[at])
     return out
 
 
@@ -489,10 +485,8 @@ def pick_peaks(response: np.ndarray, boxes: np.ndarray):
     ``find_peak_subpixel`` gives on each cut.
     """
     n, rows, cols = response.shape
-    x0, x1, y0, y1 = boxes.T
-    in_rows = (np.arange(rows) >= y0[:, None]) & (np.arange(rows) <= y1[:, None])
-    in_cols = (np.arange(cols) >= x0[:, None]) & (np.arange(cols) <= x1[:, None])
-    masked = np.where(in_rows[:, :, None] & in_cols[:, None, :], response, -np.inf)
+    masked = response.copy()
+    _outside_to_inf(masked, boxes)
     # row-major argmax over the union visits each box's placements in the
     # box's own row-major order, so ties resolve as in find_peak_subpixel
     iy, ix = np.divmod(masked.reshape(n, -1).argmax(axis=1), cols)
@@ -500,6 +494,17 @@ def pick_peaks(response: np.ndarray, boxes: np.ndarray):
     left, right = response[r, iy, np.maximum(ix - 1, 0)], response[r, iy, np.minimum(ix + 1, cols - 1)]
     up, down = response[r, np.maximum(iy - 1, 0), ix], response[r, np.minimum(iy + 1, rows - 1), ix]
     return _refine(boxes, ix, iy, response[r, iy, ix], left, right, up, down)
+
+
+def _outside_to_inf(values: np.ndarray, boxes: np.ndarray) -> None:
+    """Set ``values`` ``(..., rows, cols)`` to -inf outside box ``boxes[...]`` (inclusive x0, x1, y0, y1), in place and without a dense mask."""
+    rows, cols = values.shape[-2:]
+    if (boxes == (0, cols - 1, 0, rows - 1)).all():  # every box is the whole grid
+        return
+    x0, x1, y0, y1 = (b[..., None, None] for b in np.moveaxis(boxes, -1, 0))
+    rows, cols = np.arange(rows)[:, None], np.arange(cols)
+    np.copyto(values, -np.inf, where=(rows < y0) | (rows > y1))
+    np.copyto(values, -np.inf, where=(cols < x0) | (cols > x1))
 
 
 def _refine(boxes: np.ndarray, ix, iy, peaks, left, right, up, down):
@@ -536,17 +541,17 @@ def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = Non
 
     Template ``r`` is searched in image ``s`` within ``radius`` of
     ``centers[s, r]`` (x, y); without centres or radius every template
-    searches the whole frame.  One template's regions in S > 1 images are
-    scored as one stack.  Otherwise each image is searched on its own over
-    the union of the image's regions, R > 1 templates by the bounded search
-    of ``_bounded_peaks``.  Each peak is taken from its own region, so
-    borders behave as if the region had been searched alone, and chains
-    whose regional best scores below ``min_score`` widen to the full frame
-    of their own image.  Returns positions ``(S, R, 2)``, scores ``(S, R)``
-    and widened flags ``(S, R)``.
+    searches the whole frame.  Regional searches of all S images are one
+    stacked search (``_best_in_stack``): each image's union of regions grows
+    to one common size inside the frame, and R > 1 templates take the
+    bounded search of ``_bounded_peaks`` over the stack.  Whole frames are
+    searched one image at a time.  Each peak is taken from its own image and
+    region, so borders behave as if the region had been searched alone, and
+    chains whose regional best scores below ``min_score`` widen to the full
+    frame of their own image.  Returns positions ``(S, R, 2)``, scores
+    ``(S, R)`` and widened flags ``(S, R)``.
     """
     templates = bank.templates
-    # each search converts its own frame or crops: all S in float64 at once raise the peak
     imgs = [_as_image(image, dtype=None) for image in images]
     shapes = imgs[0].shape, templates[0].pixels.shape
     if centers is not None and np.shape(centers) != (len(imgs), len(templates), 2):
@@ -554,56 +559,76 @@ def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = Non
     regional = centers is not None and radius is not None
     if regional:
         boxes = placement_boxes(*shapes, np.reshape(centers, (-1, 2)), radius).reshape(len(imgs), len(templates), 4)
+        positions, scores = _best_in_stack(imgs, bank, boxes)
     else:
-        boxes = np.broadcast_to(placement_boxes(*shapes), (len(imgs), 1, 4))
-    if regional and len(templates) == 1 and len(imgs) > 1:
-        positions, scores = _best_in_stack(imgs, bank, boxes[:, 0])
-    else:
-        # one image at a time: the banded products round with the box's
-        # shape, and stacked unions or whole frames only raise peak memory.
-        # One template in one image keeps the scalar peak picker, which
-        # costs about a tenth of pick_peaks for a single box
-        found = [_best_in_boxes(img, bank, img_boxes) for img, img_boxes in zip(imgs, boxes)]
-        positions, scores = map(np.stack, zip(*found))
+        # a stack of whole frames would only raise peak memory
+        whole = placement_boxes(*shapes)[None]
+        positions, scores = map(np.concatenate, zip(*(_best_in_stack([img], bank, whole) for img in imgs)))
     widened = scores < min_score if regional else np.zeros(scores.shape, dtype=bool)
     for s in widened.any(axis=1).nonzero()[0]:
         redo = widened[s].nonzero()[0]
-        positions[s, redo], scores[s, redo] = _best_in_boxes(imgs[s], bank.take(redo.tolist()), placement_boxes(*shapes))
+        found = _best_in_stack([imgs[s]], bank.take(redo.tolist()), placement_boxes(*shapes)[None])
+        positions[s, redo], scores[s, redo] = (a[0] for a in found)
     return positions, scores, widened
 
 
-def _best_in_boxes(img: np.ndarray, bank: TemplateBank, boxes: np.ndarray):
-    """Subpixel best placement of each template within its own box, from one union box.
+def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray):
+    """Subpixel best placement of template ``r`` within box ``boxes[s, r]`` of image ``s``, for all S images at once.
 
-    ``boxes`` is ``(R, 4)``, or ``(1, 4)`` for one box shared by all R.
-    R > 1 templates take the bounded search.
+    ``boxes`` is ``(S, R, 4)``, or ``(S, 1, 4)`` for one box shared by all
+    R.  Each image's union of boxes grows to the largest union, kept inside
+    the frame, and the S float64 crops are scored as one stack: R > 1
+    templates by the bounded search, one template at every placement.  A
+    stack of R > 1 templates holds at most one frame's placements, so that
+    the chains' approximations never take more memory than over a whole
+    frame; more images are split into several stacks.  Returns positions
+    ``(S, R, 2)`` and scores ``(S, R)``.
     """
-    ux0, _, uy0, _ = boxes.min(axis=0).tolist()
-    _, ux1, _, uy1 = boxes.max(axis=0).tolist()
-    crop, s1, s2 = _patch_sums(img, (ux0, ux1, uy0, uy1), bank)
-    if len(bank.templates) == 1:
-        peak = find_peak_subpixel(_kernel_scores(img, crop, s1, s2, bank.templates, bank.measure)[0])
-        return np.array([peak.position]) + (ux0, uy0), np.array([peak.score])
-    boxes = np.broadcast_to(boxes, (len(bank.templates), 4))
-    positions, scores = _bounded_peaks(img, crop, s1, s2, bank, boxes - (ux0, ux0, uy0, uy0))
-    return positions + boxes[:, [0, 2]], scores
+    (th, tw), frame = bank.templates[0].pixels.shape, imgs[0].shape
+    lo, hi = boxes[..., 0::2].min(axis=1), boxes[..., 1::2].max(axis=1)  # (x, y) corners of each union
+    sx, sy = (hi - lo).max(axis=0).tolist()
+    per = max(1, (frame[0] - th + 1) * (frame[1] - tw + 1) // ((sx + 1) * (sy + 1)))
+    if len(bank.templates) > 1 and len(imgs) > per:
+        found = [_best_in_stack(imgs[i : i + per], bank, boxes[i : i + per]) for i in range(0, len(imgs), per)]
+        return tuple(map(np.concatenate, zip(*found)))
+    corners = np.minimum(lo, (frame[1] - tw - sx, frame[0] - th - sy))
+    crop = np.empty((len(imgs), sy + th, sx + tw))
+    for out, img, (x, y) in zip(crop, imgs, corners.tolist()):
+        out[...] = img[y : y + sy + th, x : x + sx + tw]
+    s1, s2 = _window_sums(crop, (th, tw), bank.measure)
+    inner = boxes - corners[:, None, [0, 0, 1, 1]]
+    if len(bank.templates) > 1:
+        inner = np.broadcast_to(inner, (len(imgs), len(bank.templates), 4))
+        positions, scores = _bounded_peaks(frame, crop, s1, s2, bank, inner)
+    else:
+        response = _kernel_scores(frame, crop, s1, s2, bank.templates, bank.measure)[:, 0]
+        if len(imgs) == 1:
+            # the crop is the box: the scalar peak picker costs about a tenth of pick_peaks
+            peak = find_peak_subpixel(response[0])
+            positions, scores = np.array([[peak.position]]), np.array([[peak.score]])
+        else:
+            positions, scores = (a[:, None] for a in pick_peaks(response, inner[:, 0]))
+    return positions + boxes[..., 0::2], scores
 
 
-def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray):
-    """``pick_peaks`` of R > 1 templates in their ``boxes`` (indices into the union), scoring each only where its peak can be.
+def _bounded_peaks(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray):
+    """``pick_peaks`` of R > 1 templates in S stacked crops, template ``r`` in crop ``s`` within ``boxes[s, r]``, scoring each only where its peak can be.
 
     With unit kernels ``t̂``, every score is ``<t̂, p̂>`` for a unit patch
     ``p̂`` (a flat patch scores 0 for all).  The bank's basis approximates
     ``t̂_r`` by ``sum_j C[r, j] u_j`` to within ``e_r``, so by Cauchy-Schwarz
     ``|score_r(p) - sum_j C[r, j] b_j(p)| <= e_r`` at every placement ``p``,
     where ``b_j`` scores ``u_j``.  The k basis maps are scored over the
-    whole union; each chain ``r`` is scored at its approximation's best in
-    its own box, which bounds its own best from below by ``L_r``; so its
-    best lies where the approximation reaches ``L_r - e_r``.  Every
-    template is scored at the union of those candidates, in row-major
-    order, and at the four neighbours of its peak that the parabola reads.
-    With one basis vector and positive coefficients, every chain of a box
-    peaks where the one map does, and one threshold on that map serves all.
+    whole stack; each chain ``(s, r)`` is scored at its approximation's best
+    in its own box, which bounds its own best from below by ``L_sr``; so
+    its best lies where the approximation reaches ``L_sr - e_r``.  Every
+    template is scored at the union of those candidates, flat ``(s, y, x)``
+    indices in row-major order, and each chain takes the first maximum among
+    the candidates in its own crop and box, then is scored at the four
+    neighbours of its peak that the parabola reads.  With one basis vector
+    and positive coefficients, every chain of a crop peaks where the one map
+    does, and one threshold on that map serves all.  Returns positions
+    ``(S, R, 2)``, relative to each box's corner, and scores ``(S, R)``.
     After L. Di Stefano, S. Mattoccia, "Fast template matching using bounded
     partial correlation", MVA 13 (2003), and S. Mattoccia, F. Tombari, L. Di
     Stefano, "Fast full-search equivalent template matching by Enhanced
@@ -611,38 +636,47 @@ def _bounded_peaks(img: np.ndarray, crop: np.ndarray, s1, s2, bank: TemplateBank
     templates instead of across the rows of one template, and M. Uenohara,
     T. Kanade (IEEE TPAMI 19(8), 1997) for the basis.
     """
-    oh, ow = s2.shape
-    windows = sliding_window_view(crop, bank.templates[0].pixels.shape)
-    cand = _candidates(img, crop, s1, s2, bank, boxes, windows)
-    x0, x1, y0, y1 = boxes.T
-    r = np.arange(len(boxes))
-    # candidates in row-major order and the first maximum: ties resolve as in pick_peaks
-    cy, cx = np.divmod(cand, ow)
-    inside = (x0[:, None] <= cx) & (cx <= x1[:, None]) & (y0[:, None] <= cy) & (cy <= y1[:, None])
-    scores = np.where(inside, _scores_at(windows, s1, s2, bank, cand), -np.inf)
-    best = scores.argmax(axis=1)
-    iy, ix = cy[best], cx[best]
-    around = np.concatenate([
-        iy * ow + np.maximum(ix - 1, 0), iy * ow + np.minimum(ix + 1, ow - 1),
-        np.maximum(iy - 1, 0) * ow + ix, np.minimum(iy + 1, oh - 1) * ow + ix,
+    n, oh, ow = s2.shape
+    count = len(bank.templates)
+    windows = sliding_window_view(crop, bank.templates[0].pixels.shape, axis=(-2, -1))
+    cand = _candidates(frame, crop, s1, s2, bank, boxes, windows)
+    cs, cy, cx = np.unravel_index(cand, s2.shape)
+    scores = _scores_at(windows, s1, s2, bank, cand)
+    if (boxes != (0, ow - 1, 0, oh - 1)).any():
+        # template r's score at a candidate of crop s is chain (s, r)'s only if the candidate lies in its box
+        x0, x1, y0, y1 = np.transpose(boxes)[:, :, cs]
+        scores[~((x0 <= cx) & (cx <= x1) & (y0 <= cy) & (cy <= y1))] = -np.inf
+    # the first maximum among each crop's candidates, in row-major order: ties
+    # resolve as in pick_peaks.  Every crop holds candidates, since each
+    # chain's own probe is one
+    starts = np.searchsorted(cs, np.arange(n))
+    peaks = np.maximum.reduceat(scores, starts, axis=1)
+    first = np.minimum.reduceat(np.where(scores == peaks[:, cs], np.arange(cand.size), cand.size), starts, axis=1)
+    first, peaks = first.T.ravel(), peaks.T.ravel()  # chains (s, r) in row-major order
+    iy, ix = cy[first], cx[first]
+    base = cand[first] - iy * ow - ix
+    around = np.stack([
+        base + iy * ow + np.maximum(ix - 1, 0), base + iy * ow + np.minimum(ix + 1, ow - 1),
+        base + np.maximum(iy - 1, 0) * ow + ix, base + np.minimum(iy + 1, oh - 1) * ow + ix,
     ])
     near, at = np.unique(around, return_inverse=True)
+    r = np.tile(np.arange(count), n)
     left, right, up, down = _scores_at(windows, s1, s2, bank, near)[r, at.reshape(4, -1)]
-    return _refine(boxes, ix, iy, scores[r, best], left, right, up, down)
+    positions, scores = _refine(boxes.reshape(-1, 4), ix, iy, peaks, left, right, up, down)
+    return positions.reshape(n, count, 2), scores.reshape(n, count)
 
 
-def _candidates(img: np.ndarray, crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray,
+def _candidates(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray,
                 windows: np.ndarray) -> np.ndarray:
-    """Row-major indices of the union's placements where some template of ``_bounded_peaks`` can peak.
+    """Flat ``(s, y, x)`` indices, in row-major order, of the placements where some chain of ``_bounded_peaks`` can peak.
 
     The basis maps and the chains' approximations, each as large as the
     full search's band of scores, are dropped on return, before the
     candidates are scored.
     """
-    oh, ow = s2.shape
-    maps = _kernel_scores(img, crop, s1, s2, bank.basis, bank.measure)
-    x0, x1, y0, y1 = boxes.T
-    r = np.arange(len(boxes))
+    n, oh, ow = s2.shape
+    count = len(bank.templates)
+    maps = _kernel_scores(frame, crop, s1, s2, bank.basis, bank.measure)
     # the slack keeps the true argmax when rounding moves either side of the
     # bound.  A basis map (FFT or Toeplitz) and the stacked product agree to
     # 6e-12 on uint16 frames.  s2 - s1 * s1 / n rounds by up to half an ulp
@@ -652,37 +686,25 @@ def _candidates(img: np.ndarray, crop: np.ndarray, s1, s2, bank: TemplateBank, b
     # so a score's distance from its approximation moves by at most its
     # residual (<= 1) times it: under 1.2e-4 up to 31x31
     floor = bank.residuals + _BOUND_SLACK
-    if len(maps) == 1 and (bank.coeffs > 0.0).all():
-        # L_r from chain r's own box, never from the union: the map's best in
-        # each distinct box, where every chain of that box is scored
-        _, first, which = np.unique(((x0 * ow + x1) * oh + y0) * oh + y1, return_index=True, return_inverse=True)
+    if maps.shape[1] == 1 and (bank.coeffs > 0.0).all():
+        # L_sr from chain (s, r)'s own box, never from the union: the map's
+        # best in each distinct box of each crop, where every chain of that
+        # box is scored
+        x0, x1, y0, y1 = np.moveaxis(boxes, -1, 0)
+        key = (((np.arange(n)[:, None] * ow + x0) * ow + x1) * oh + y0) * oh + y1
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
         probes = []
-        for bx0, bx1, by0, by1 in boxes[first].tolist():
-            j, i = divmod(int(maps[0, by0 : by1 + 1, bx0 : bx1 + 1].argmax()), bx1 - bx0 + 1)
-            probes.append((by0 + j) * ow + bx0 + i)
-        lower = _scores_at(windows, s1, s2, bank, np.array(probes))[r, which.ravel()]
-        return np.flatnonzero(maps[0] >= ((lower - floor) / bank.coeffs[:, 0]).min())
-    approx = bank.coeffs @ maps.reshape(len(maps), -1)
-    if (boxes != (0, ow - 1, 0, oh - 1)).any():  # some chain's box is smaller than the union
-        rows, cols = np.arange(oh), np.arange(ow)
-        inside = ((y0[:, None] <= rows) & (rows <= y1[:, None]))[:, :, None] & ((x0[:, None] <= cols) & (cols <= x1[:, None]))[:, None, :]
-        approx = np.where(inside.reshape(len(boxes), -1), approx, -np.inf)
-    probes, which = np.unique(approx.argmax(axis=1), return_inverse=True)
-    lower = _scores_at(windows, s1, s2, bank, probes)[r, which.ravel()]
-    return np.flatnonzero((approx >= (lower - floor)[:, None]).any(axis=0))
-
-
-def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray):
-    """Best placement of a bank's one template in box ``s`` of image ``s``, for all S boxes ``(S, 4)`` at once.
-
-    The boxes grow to the largest one inside the frame, and the S crops are
-    scored as one stack.  Returns positions ``(S, 1, 2)`` and scores ``(S, 1)``.
-    """
-    (th, tw), (ih, iw) = bank.templates[0].pixels.shape, imgs[0].shape
-    sx, sy = (boxes[:, [1, 3]] - boxes[:, [0, 2]]).max(axis=0).tolist()
-    corners = np.minimum(boxes[:, [0, 2]], (iw - tw - sx, ih - th - sy))
-    crops = np.stack([img[y : y + sy + th, x : x + sx + tw] for img, (x, y) in zip(imgs, corners.tolist())])
-    crop, s1, s2 = _patch_sums(crops, (0, sx, 0, sy), bank)
-    response = _kernel_scores(crops, crop, s1, s2, bank.templates, bank.measure)[:, 0]
-    positions, scores = pick_peaks(response, boxes - corners[:, [0, 0, 1, 1]])
-    return (positions + boxes[:, [0, 2]])[:, None], scores[:, None]
+        for s, (bx0, bx1, by0, by1) in zip((first // count).tolist(), boxes.reshape(-1, 4)[first].tolist()):
+            j, i = divmod(int(maps[s, 0, by0 : by1 + 1, bx0 : bx1 + 1].argmax()), bx1 - bx0 + 1)
+            probes.append((s * oh + by0 + j) * ow + bx0 + i)
+        lower = _scores_at(windows, s1, s2, bank, np.array(probes))[np.arange(count), which.reshape(n, count)]
+        # one threshold per crop; _bounded_peaks drops the candidates that lie
+        # in none of their crop's boxes
+        return np.flatnonzero(maps[:, 0] >= ((lower - floor) / bank.coeffs[:, 0]).min(axis=1)[:, None, None])
+    approx = bank.coeffs @ maps.reshape(n, len(bank.basis), -1)
+    _outside_to_inf(approx.reshape(n, count, oh, ow), boxes)
+    probes, which = np.unique(approx.argmax(axis=2) + np.arange(n)[:, None] * (oh * ow), return_inverse=True)
+    lower = _scores_at(windows, s1, s2, bank, probes)[np.arange(count), which.reshape(n, count)]
+    # a - t >= 0 exactly when a >= t, so the test runs in place, with no (S, R, P) mask
+    approx -= (lower - floor)[..., None]
+    return np.flatnonzero(approx.max(axis=1) >= 0.0)

@@ -204,7 +204,8 @@ def locate_in_navigator(
     vessel (``vessel_banks``), built once for every ordinal.  Each set ``r``
     is one chain followed through every sequence; ``priors[s, r, v]`` (shape
     ``(S, R, V, 2)``, usually the chain's positions in sequence ``s``'s
-    previous navigator) centres the search region for vessel ``v``.  Without
+    previous navigator) centres the search region for vessel ``v``, and the
+    regions of all S sequences are searched as one stack of crops.  Without
     priors, or with ``search_radius=None``, the whole frame is searched, one
     sequence at a time.  A chain whose regional best scores below
     ``min_score`` widens once to the full frame of its own sequence, exactly

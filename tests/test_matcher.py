@@ -476,10 +476,10 @@ def test_bounded_search_equals_the_full_search(monkeypatch, kind, measure):
         refined.append(np.stack([ix - boxes[:, 0], iy - boxes[:, 2]], axis=1))
         return refine(boxes, ix, iy, *args)
 
-    def recording_bounded(img, crop, s1, s2, bank, boxes):
+    def recording_bounded(frame, crop, s1, s2, bank, boxes):
         # placements in the union, placements scored exactly, basis size
         searches.append([s2.size, 0, len(bank.basis)])
-        return bounded(img, crop, s1, s2, bank, boxes)
+        return bounded(frame, crop, s1, s2, bank, boxes)
 
     def counted_scores_at(windows, s1, s2, bank, flat):
         searches[-1][1] += flat.size
@@ -520,6 +520,83 @@ def test_bounded_search_equals_the_full_search(monkeypatch, kind, measure):
     # candidates; unrelated cuts prune only because they score one basis map
     # per template
     assert pruned >= 5
+
+
+def _sequences(rng, img, centers):
+    """S same-shape images holding ``img``, with priors that differ per image.
+
+    ``img`` sits in the corner of a noise frame twice its size, so that
+    several images' unions of boxes fit in one stack.  The later images are
+    rolls of the first, and their priors move with the roll plus a jitter of
+    each image's own scale, so the images' unions differ in size.  One chain
+    of a later image is put off the frame, so its box is clamped at the
+    frame's edge.
+    """
+    ih, iw = img.shape
+    frame = rng.integers(0, 2**16, size=(2 * ih, 2 * iw)).astype(np.uint16)
+    frame[:ih, :iw] = img
+    count = int(rng.integers(2, 5))
+    imgs, priors = [frame], [centers]
+    for _ in range(count - 1):
+        dy, dx = (int(v) for v in rng.integers(-3, 4, size=2))
+        imgs.append(np.roll(frame, (dy, dx), axis=(0, 1)))
+        priors.append(centers + (dx, dy) + rng.uniform(-1.0, 1.0, size=centers.shape) * rng.uniform(0.0, 6.0))
+    priors = np.stack(priors)
+    edge = (rng.choice([-5.0, 2 * iw + 5.0]), rng.uniform(0, 2 * ih))
+    priors[int(rng.integers(1, count)), int(rng.integers(0, len(centers)))] = edge
+    return imgs, priors
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("kind", ["near", "spread", "ties", "cap", "flat"])
+def test_stacked_bounded_search_equals_the_per_image_full_search(monkeypatch, kind, measure):
+    """S > 1 images searched as one stack give every image's own full-search peaks, positions, scores and widened flags."""
+    refined, stacks = [], []
+    refine, bounded = matcher._refine, matcher._bounded_peaks
+
+    def recording_refine(boxes, ix, iy, *args):
+        refined.append(np.stack([ix - boxes[:, 0], iy - boxes[:, 2]], axis=1))
+        return refine(boxes, ix, iy, *args)
+
+    def recording_bounded(frame, crop, s1, s2, bank, boxes):
+        stacks.append(len(crop))
+        return bounded(frame, crop, s1, s2, bank, boxes)
+
+    def no_full_product(*args):
+        raise AssertionError("a search scored every template at every placement")
+
+    monkeypatch.setattr(matcher, "_refine", recording_refine)
+    monkeypatch.setattr(matcher, "_bounded_peaks", recording_bounded)
+    rng = np.random.default_rng([29, MEASURES.index(measure)])
+    stacked = 0
+    for _ in range(12):
+        img, templates, centers, radius = _bounded_case(rng, kind, measure)
+        imgs, priors = _sequences(rng, img, centers)
+        min_score = float(rng.uniform(0.2, 0.6))
+        refined.clear()
+        stacks.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(matcher, "_every_score", no_full_product)
+            positions, scores, widened = match_templates(imgs, template_bank(templates, measure), priors, radius, min_score)
+        # the searches before any widened redo cover the S images, one stack
+        # for all regions (split only where the stack would outgrow a frame),
+        # one search per image for whole frames
+        first = np.cumsum(stacks).tolist().index(len(imgs)) + 1
+        assert radius is not None or stacks[:first] == [1] * len(imgs)
+        stacked += stacks[0] > 1
+        shape = templates[0].pixels.shape
+        for s, (image, got) in enumerate(zip(imgs, np.split(np.concatenate(refined[:first]), len(imgs)))):
+            boxes = placement_boxes(image.shape, shape, priors[s], radius)
+            peaks, want_positions, want_scores, want_widened = _full_search_oracle(
+                image, templates, measure, np.broadcast_to(boxes, (len(templates), 4)), min_score, radius is not None
+            )
+            assert np.array_equal(got, peaks)
+            assert np.array_equal(widened[s], want_widened)
+            np.testing.assert_allclose(positions[s], want_positions, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(scores[s], want_scores, rtol=0, atol=1e-9)
+    # most regional cases stack several images in their first search; the
+    # others are whole frames or stacks split to stay within a frame
+    assert stacked >= 3
 
 
 @settings(max_examples=40, deadline=None)

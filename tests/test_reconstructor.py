@@ -297,18 +297,24 @@ def test_bounded_localization_decides_as_the_full_search(monkeypatch, name):
     searches, full_products = [], []
     bounded, scores_at = matcher._bounded_peaks, matcher._scores_at
 
-    def recording_bounded(img, crop, s1, s2, bank, boxes):
-        searches.append([s2.size, 0])  # placements in the union, placements scored exactly
-        return bounded(img, crop, s1, s2, bank, boxes)
+    def recording_bounded(frame, crop, s1, s2, bank, boxes):
+        # images stacked, placements in the stack, placements scored exactly
+        searches.append([len(crop), s2.size, 0])
+        return bounded(frame, crop, s1, s2, bank, boxes)
 
     def counted_scores_at(windows, s1, s2, bank, flat):
-        searches[-1][1] += flat.size
+        searches[-1][2] += flat.size
         return scores_at(windows, s1, s2, bank, flat)
 
-    def full_search(img, crop, s1, s2, bank, boxes):
-        # the R > 1 branch of _best_in_boxes as a full search: every chain at every placement
-        full_products.append(len(bank.templates))
-        return matcher.pick_peaks(matcher._every_score(crop, s1, s2, bank), boxes)
+    def full_search(frame, crop, s1, s2, bank, boxes):
+        # every R > 1 search, stacked or not, as a full search: every chain
+        # at every placement of its own image, then its peak in its own box
+        full_products.append(len(crop))
+        found = [
+            matcher.pick_peaks(matcher._every_score(crop[s], None if s1 is None else s1[s], s2[s], bank), boxes[s])
+            for s in range(len(crop))
+        ]
+        return tuple(map(np.stack, zip(*found)))
 
     monkeypatch.setattr(matcher, "_bounded_peaks", recording_bounded)
     monkeypatch.setattr(matcher, "_scores_at", counted_scores_at)
@@ -317,12 +323,16 @@ def test_bounded_localization_decides_as_the_full_search(monkeypatch, name):
             config = ReconstructionConfig(measure=measure, search_radius=search_radius)
             searches.clear()
             tables, widened = displacement_tables(dataset, rois, config)
-            # every R > 1 search, the split vessel's included, leaves placements unscored
-            assert searches and all(scored < placements for placements, scored in searches)
+            # every R > 1 search, the split vessel's included, leaves placements
+            # unscored, and the regional ones search all sequences as one stack
+            assert searches and all(scored < placements for _, placements, scored in searches)
+            assert max(stacked for stacked, _, _ in searches) == (len(dataset.interleaved) if search_radius else 1)
+            full_products.clear()
             with monkeypatch.context() as forced:
                 forced.setattr(matcher, "_bounded_peaks", full_search)
                 want_tables, want_widened = displacement_tables(dataset, rois, config)
-            assert full_products  # the forced run scores every chain everywhere
+            # the forced run scores every chain everywhere, in every search the bounded run made
+            assert full_products == [stacked for stacked, _, _ in searches]
             assert widened == want_widened
             for got, want in zip(tables, want_tables, strict=True):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
