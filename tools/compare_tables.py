@@ -7,18 +7,21 @@ Each checkout runs ``reconstructor.displacement_tables`` in its own process
 (its ``src`` first on the path) over every case of the grid: the phantoms
 ``default`` (``PhantomSpec()``), ``updating_region``, ``sweep_split`` and
 ``baseline_bulk`` (the specs of the checkout's ``stagebench/workloads.py``)
-and ``split_vessel`` (``split_vessel_spec()`` of its ``tests/conftest.py``),
-both methods, both measures, search radius 10 and ``None``, and seeds 0 and
-3.  ``--phantoms`` and ``--seeds`` narrow the grid, and ``--small`` renders
-every phantom with 10 reference frames and 2 sequences of 4 data frames.
+and ``split_vessel`` (``split_vessel_spec()`` of its
+``tests/phantom_specs.py``), both methods, both measures, search radius 10
+and ``None``, and seeds 0 and 3.  ``main`` takes a narrower grid as
+arguments, and ``small=True`` renders every phantom with 10 reference
+frames and 2 sequences of 4 data frames.
 
 The report gives the largest difference between corresponding tables and
 the case it falls in, the decisions that flip at thresholds 0.5, 1 and 2 px
 (``criterion.decide`` of each side's own tables), and the cases whose
 widened-search counts differ.  The exit status is 1 if a decision or a
-widened count differs, if a table differs by more than ``--atol``
-(default 1e-9), or if the two checkouts render different phantom specs.
-Standard library and numpy only.
+widened count differs, if a table differs by more than ``ATOL`` (1e-9), or
+if the two checkouts render different phantom specs; the printed largest
+difference shows whether tables agree more tightly.  Standard library and
+numpy only.  A checkout older than ``tests/phantom_specs.py`` keeps
+``split_vessel_spec`` in ``tests/conftest.py``, which needs pytest.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ MEASURES = ("ccoeff_normed", "ccorr_normed")
 RADII = (10, None)
 SEEDS = (0, 3)
 THRESHOLDS = (0.5, 1.0, 2.0)
+ATOL = 1e-9  # the equivalence bound of a hot-path change (ROADMAP)
 
 
 def case_key(phantom: str, method: str, measure: str, radius, seed: int) -> str:
     return f"{phantom}|{method}|{measure}|{radius}|{seed}"
 
 
-def worker(checkout: Path, phantoms: list[str], seeds: list[int], small: bool, out: Path) -> None:
+def worker(checkout: Path, out: Path, phantoms: list[str], seeds: list[int], small: bool) -> None:
     """Run the grid in ``checkout`` and save every table, widened count and decision mask to ``out`` (npz)."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "stagebench"), str(checkout / "tests")]
     from dataclasses import replace
@@ -59,7 +63,10 @@ def worker(checkout: Path, phantoms: list[str], seeds: list[int], small: bool, o
         if name == "default":
             return PhantomSpec()
         if name == "split_vessel":
-            from conftest import split_vessel_spec
+            try:
+                from phantom_specs import split_vessel_spec
+            except ModuleNotFoundError:  # a checkout from before the spec left conftest
+                from conftest import split_vessel_spec
 
             return split_vessel_spec()
         import workloads
@@ -120,33 +127,18 @@ def compare(parent: dict, change: dict) -> dict:
     return report
 
 
-def main(argv=None) -> int:
+def main(argv=None, phantoms=PHANTOMS, seeds=SEEDS, small=False) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--phantoms", default=",".join(PHANTOMS), help=f"comma-separated subset of {PHANTOMS}")
-    parser.add_argument("--seeds", default=",".join(map(str, SEEDS)), help="comma-separated phantom seeds")
-    parser.add_argument("--small", action="store_true", help="render every phantom at a few frames")
-    parser.add_argument("--atol", type=float, default=1e-9, help="largest table difference that passes")
-    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    parser.add_argument("--out", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    phantoms = [p for p in args.phantoms.split(",") if p]
-    unknown = set(phantoms) - set(PHANTOMS)
-    if unknown:
-        parser.error(f"unknown phantoms {sorted(unknown)}, expected some of {PHANTOMS}")
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if args.worker is not None:
-        worker(args.worker.resolve(), phantoms, seeds, args.small, args.out)
-        return 0
+    grid = json.dumps({"phantoms": list(phantoms), "seeds": list(seeds), "small": small})
 
     with tempfile.TemporaryDirectory() as tmp:
         outs = {side: Path(tmp) / f"{side}.npz" for side in ("parent", "change")}
         runs = {
             side: subprocess.Popen(
-                [sys.executable, __file__, "--parent", str(args.parent), "--change", str(args.change),
-                 "--phantoms", ",".join(phantoms), "--seeds", ",".join(map(str, seeds)),
-                 *(["--small"] if args.small else []), "--worker", str(checkout), "--out", str(outs[side])],
+                [sys.executable, __file__, "--worker", str(checkout), str(outs[side]), grid],
                 stderr=subprocess.PIPE, text=True,
             )
             for side, checkout in (("parent", args.parent), ("change", args.change))
@@ -169,9 +161,13 @@ def main(argv=None) -> int:
     if report["specs_differ"]:
         print("the two checkouts render different phantom specs")
     failed = (report["specs_differ"] or report["widened_differ"] or any(report["flips"].values())
-              or report["largest_difference"] > args.atol)
+              or report["largest_difference"] > ATOL)
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if sys.argv[1:2] == ["--worker"]:  # one side's run, started by main
+        checkout, out, grid = sys.argv[2:]
+        worker(Path(checkout).resolve(), Path(out), **json.loads(grid))
+    else:
+        sys.exit(main())
