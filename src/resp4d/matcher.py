@@ -12,9 +12,14 @@ domain in float64:
     plain normalized cross-correlation without mean removal.
 
 Scores live in [-1, 1] (``ccorr_normed`` stays in [0, 1] for non-negative
-images).  Patch statistics come from integral images, which are exact for
-integer-valued inputs, and are shared by every template scored over the same
-placement box.  The cross term is computed in one of three ways, following
+images).  Patch statistics come from running sums: one down the columns of
+the image, shared by every template height, then one along each row of
+windows (``_window_sums``).  On uint16-valued pixels every partial sum, of
+the pixels or of their squares, is an integer below 2**53 for frames of up
+to about two million pixels, so the sums are exact in any order.  They are
+shared by every template scored over the same placement box, and a
+``SearchFrame`` keeps one frame's column sums and its spectrum for every
+whole-frame search of it.  The cross term is computed in one of three ways, following
 J. P. Lewis, "Fast Normalized Cross-Correlation", Vision Interface 1995:
 one template searched over the whole frame correlates in the frequency
 domain (the template's spectrum is kept on the template); one template over
@@ -41,7 +46,7 @@ changes with breathing lie within 0.11 of three or four, and leave 1-14 %.
 
 ``match_templates`` is the one search: S images by R templates, each in its
 own region (all S images as one stack) or over the whole frame (one image
-at a time), widening weak regional bests.
+at a time, as a ``SearchFrame``), widening weak regional bests.
 ``match_template`` is ``match_templates`` of one image and one template, and
 ``placement_bounds`` row 0 of ``placement_boxes``.
 """
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -212,17 +218,60 @@ def placement_boxes(
     return np.minimum(np.maximum(corners, 0), (xmax, ymax) * 2).astype(np.intp)[:, [0, 2, 1, 3]]
 
 
+def _column_sums(values: np.ndarray) -> np.ndarray:
+    """Running sums down the columns of ``values`` ``(..., h, w)``, after a row of zeros: ``(..., h + 1, w)``."""
+    sums = np.zeros(values.shape[:-2] + (values.shape[-2] + 1, values.shape[-1]))
+    np.cumsum(values, axis=-2, out=sums[..., 1:, :])
+    return sums
+
+
+def _windows(columns: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sums over every ``shape`` window, from ``_column_sums`` of the values: one running sum along each window row."""
+    (th, tw), (h, w) = shape, columns.shape[-2:]
+    oh, ow = h - th, w - tw + 1
+    rows = np.zeros(columns.shape[:-2] + (oh, w + 1))
+    np.cumsum(columns[..., th:, :] - columns[..., :oh, :], axis=-1, out=rows[..., 1:])
+    return rows[..., tw:] - rows[..., :ow]
+
+
 def _window_sums(crop: np.ndarray, shape: tuple[int, int], measure: str):
-    """Per-placement patch sums (None for ``ccorr_normed``) and sums of squares via integral images, over any leading axes."""
-    (h, w), (th, tw) = crop.shape[-2:], shape
-    oh, ow = h - th + 1, w - tw + 1
+    """Per-placement patch sums (None for ``ccorr_normed``) and sums of squares, over any leading axes."""
+    return (_windows(_column_sums(crop), shape) if measure == CCOEFF_NORMED else None), _windows(_column_sums(crop * crop), shape)
 
-    def window(values):
-        ii = np.zeros(crop.shape[:-2] + (h + 1, w + 1))
-        ii[..., 1:, 1:] = values.cumsum(axis=-2).cumsum(axis=-1)
-        return ii[..., th:, tw:] - ii[..., :oh, tw:] - ii[..., th:, :ow] + ii[..., :oh, :ow]
 
-    return (window(crop) if measure == CCOEFF_NORMED else None), window(crop * crop)
+@dataclass
+class SearchFrame:
+    """One frame's float64 ``pixels`` with what a whole-frame search reads of it, each built the first time it is used.
+
+    The running sums down its columns, of the pixels (for ``ccoeff_normed``)
+    and of their squares, give the window sums of every template size, and
+    its ``rfft2`` spectrum serves every template's FFT correlation.  A
+    caller that searches one frame for several templates, one call each
+    (``tracker.track_reference``), wraps the frame once; ``match_templates``
+    wraps any other whole frame for its own search.
+    """
+
+    pixels: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.pixels = _as_image(self.pixels)
+
+    @cached_property
+    def _plain(self) -> np.ndarray:
+        return _column_sums(self.pixels[None])
+
+    @cached_property
+    def _squares(self) -> np.ndarray:
+        return _column_sums(self.pixels[None] * self.pixels[None])
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """``rfft2`` of the frame as a stack of one, ``(1, h, w // 2 + 1)``."""
+        return np.fft.rfft2(self.pixels[None])
+
+    def window_sums(self, shape: tuple[int, int], measure: str):
+        """``_window_sums`` of the frame as a stack of one, read from its kept column sums."""
+        return (_windows(self._plain, shape) if measure == CCOEFF_NORMED else None), _windows(self._squares, shape)
 
 
 def response_map(image, template: Template, measure: str = CCOEFF_NORMED) -> np.ndarray:
@@ -346,23 +395,27 @@ def match_scores(image, templates: list[Template], measure: str,
     return _every_score(crop, s1, s2, bank)
 
 
-def _kernel_scores(frame: tuple[int, int], crop: np.ndarray, s1, s2, templates: list[Template], measure: str) -> np.ndarray:
-    """k same-shape templates' scores at every placement of ``crop``, cut from frames of shape ``frame``: ``(..., k, oh, ow)``."""
+def _kernel_scores(frame: tuple[int, int], crop: np.ndarray, s1, s2, templates: list[Template], measure: str,
+                   spectrum: np.ndarray | None = None) -> np.ndarray:
+    """k same-shape templates' scores at every placement of ``crop``, cut from frames of shape ``frame``: ``(..., k, oh, ow)``.
+
+    ``spectrum``, if given, is ``rfft2`` of a ``crop`` that is one whole frame.
+    """
     kernels, totals, energies = zip(*(_terms(tpl, measure) for tpl in templates))
     th, tw = kernels[0].shape
     oh, ow = s2.shape[-2:]
     if crop.shape[-2:] == frame and crop.size == frame[0] * frame[1]:
         # one whole frame: valid placements never wrap, so the circular
         # correlation needs no padding beyond the frame
+        if spectrum is None:
+            spectrum = np.fft.rfft2(crop)
         spectra = []
         for tpl, kernel in zip(templates, kernels):
-            spectrum = tpl._spectra.get((frame, measure))
-            if spectrum is None:
-                spectrum = np.conj(np.fft.rfft2(kernel, s=frame))
-                tpl._spectra[(frame, measure)] = spectrum
-            spectra.append(spectrum)
+            if (frame, measure) not in tpl._spectra:
+                tpl._spectra[(frame, measure)] = np.conj(np.fft.rfft2(kernel, s=frame))
+            spectra.append(tpl._spectra[(frame, measure)])
         spectra = spectra[0] if len(spectra) == 1 else np.stack(spectra)  # one spectrum broadcasts uncopied
-        cross = np.fft.irfft2(np.fft.rfft2(crop)[..., None, :, :] * spectra, s=frame)[..., :oh, :ow]
+        cross = np.fft.irfft2(spectrum[..., None, :, :] * spectra, s=frame)[..., :oh, :ow]
     else:
         # template row k slides along image row i + k: one banded matrix
         # holds every horizontal shift of every template, and output row i
@@ -562,14 +615,26 @@ def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = Non
         positions, scores = _best_in_stack(imgs, bank, boxes)
     else:
         # a stack of whole frames would only raise peak memory
-        whole = placement_boxes(*shapes)[None]
-        positions, scores = map(np.concatenate, zip(*(_best_in_stack([img], bank, whole) for img in imgs)))
+        positions, scores = map(np.concatenate, zip(*(_best_in_frame(image, bank) for image in images)))
     widened = scores < min_score if regional else np.zeros(scores.shape, dtype=bool)
     for s in widened.any(axis=1).nonzero()[0]:
         redo = widened[s].nonzero()[0]
-        found = _best_in_stack([imgs[s]], bank.take(redo.tolist()), placement_boxes(*shapes)[None])
+        found = _best_in_frame(images[s], bank.take(redo.tolist()))
         positions[s, redo], scores[s, redo] = (a[0] for a in found)
     return positions, scores, widened
+
+
+def _best_in_frame(image, bank: TemplateBank):
+    """Subpixel best placement of every template of ``bank`` over the whole of ``image``, from the statistics kept on its ``SearchFrame``.
+
+    A plain image is wrapped for this search.  Returns positions ``(1, R, 2)``
+    and scores ``(1, R)``.
+    """
+    frame = image if isinstance(image, SearchFrame) else SearchFrame(image)
+    shape = bank.templates[0].pixels.shape
+    whole = placement_boxes(frame.pixels.shape, shape)[None]
+    s1, s2 = frame.window_sums(shape, bank.measure)
+    return _peaks(frame.pixels.shape, frame.pixels[None], s1, s2, bank, whole, frame)
 
 
 def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray):
@@ -596,19 +661,27 @@ def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray
     for out, img, (x, y) in zip(crop, imgs, corners.tolist()):
         out[...] = img[y : y + sy + th, x : x + sx + tw]
     s1, s2 = _window_sums(crop, (th, tw), bank.measure)
-    inner = boxes - corners[:, None, [0, 0, 1, 1]]
-    if len(bank.templates) > 1:
-        inner = np.broadcast_to(inner, (len(imgs), len(bank.templates), 4))
-        positions, scores = _bounded_peaks(frame, crop, s1, s2, bank, inner)
-    else:
-        response = _kernel_scores(frame, crop, s1, s2, bank.templates, bank.measure)[:, 0]
-        if len(imgs) == 1:
-            # the crop is the box: the scalar peak picker costs about a tenth of pick_peaks
-            peak = find_peak_subpixel(response[0])
-            positions, scores = np.array([[peak.position]]), np.array([[peak.score]])
-        else:
-            positions, scores = (a[:, None] for a in pick_peaks(response, inner[:, 0]))
+    positions, scores = _peaks(frame, crop, s1, s2, bank, boxes - corners[:, None, [0, 0, 1, 1]])
     return positions + boxes[..., 0::2], scores
+
+
+def _peaks(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray,
+           whole: SearchFrame | None = None):
+    """Subpixel best placement of template ``r`` within box ``boxes[s, r]`` of the S stacked crops ``crop``, relative to the box's corner.
+
+    ``boxes`` is ``(S, R, 4)`` or ``(S, 1, 4)``; ``whole`` is the frame when
+    ``crop`` is all of it, and lends one template its spectrum.  Returns
+    positions ``(S, R, 2)`` and scores ``(S, R)``.
+    """
+    if len(bank.templates) > 1:
+        return _bounded_peaks(frame, crop, s1, s2, bank, np.broadcast_to(boxes, (len(crop), len(bank.templates), 4)))
+    response = _kernel_scores(frame, crop, s1, s2, bank.templates, bank.measure,
+                              None if whole is None else whole.spectrum)[:, 0]
+    if len(crop) == 1:
+        # the crop is the box: the scalar peak picker costs about a tenth of pick_peaks
+        peak = find_peak_subpixel(response[0])
+        return np.array([[peak.position]]), np.array([[peak.score]])
+    return tuple(a[:, None] for a in pick_peaks(response, boxes[:, 0]))
 
 
 def _bounded_peaks(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray):

@@ -135,10 +135,19 @@ def _filled_cells(accepted: list[np.ndarray]) -> np.ndarray:
 
 
 def average_bin(frames: list[np.ndarray]) -> np.ndarray:
-    """Pixelwise double-precision mean of a non-empty list of same-shape pixel arrays."""
+    """Pixelwise double-precision mean of a non-empty list of same-shape pixel arrays.
+
+    One running float64 sum in list order, divided by the count: the
+    additions and the division of ``np.mean(np.stack(frames), axis=0,
+    dtype=np.float64)``, without the stacked copy.
+    """
     if not frames:
         raise ValueError("cannot average an empty bin")
-    return np.mean(np.stack(frames), axis=0, dtype=np.float64)
+    total = np.array(frames[0], dtype=np.float64)
+    for frame in frames[1:]:
+        total += frame
+    total /= len(frames)
+    return total
 
 
 def track_configured(
@@ -243,7 +252,7 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
     for idx_i, i in enumerate(volume.timepoints):
         name = f"t{i:04d}.u16le"
         stack_names.append(name)
-        (out / name).write_bytes(volume.stack(idx_i).astype("<u2", copy=False).tobytes())
+        volume.stack(idx_i).astype("<u2", copy=False).tofile(out / name)
 
     manifest = {
         "timepoints": volume.timepoints,
@@ -271,7 +280,7 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
         for s, (totals, accepted) in enumerate(zip(report.totals, report.accepted)):
             rows, cols = np.indices(totals.shape)
             columns = (rows.ravel() + 1, 2 * cols.ravel() + 1, totals.ravel(), accepted.ravel().astype(np.int8))
-            fh.write("".join(map(f"{{}},{s},{{}},{{:.6f}},{{}}\r\n".format, *(c.tolist() for c in columns))))
+            fh.write("".join(map(f"%d,{s},%d,%.6f,%d\r\n".__mod__, zip(*(c.tolist() for c in columns)))))
 
     with open(out / "acquisition_correlation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -25,7 +25,11 @@ sequences at once and returns positions ``(S, R, V, 2)``, scores
 
 ``track_reference`` makes one ``match_template`` call per (reference frame,
 vessel); ``match_template`` is ``matcher.match_templates`` of one image and
-one template.  The calls stay one per frame and vessel because the stage
+one template.  Where it searches whole frames (fixed mode, and updating mode
+with ``search_radius=None``) it wraps each reference frame once as a
+``matcher.SearchFrame``, so that every vessel's search of the frame reads one
+spectrum and one set of column sums, and only one frame's statistics exist
+at a time.  The calls stay one per frame and vessel because the stage
 benchmark counts kernel work by hooking this module's ``match_template``,
 until it reads counters that the program records itself.
 """
@@ -43,6 +47,7 @@ from .imgcore import Frame, ReferenceSequence, from_obj, to_obj
 from .matcher import (
     CCOEFF_NORMED,
     MEASURES,
+    SearchFrame,
     SearchRegion,
     Template,
     TemplateBank,
@@ -170,9 +175,11 @@ def track_reference(
     radius = search_radius if mode == UPDATING else None
     for i in range(1, n_frames):
         frame = ref.frames[i]
+        # whole-frame searches of all vessels read one spectrum and one set of column sums
+        image = frame.pixels if radius is not None else SearchFrame(frame.pixels)
         for v, tpl in enumerate(sets[-1]):
             region = None if radius is None else SearchRegion(center=tuple(positions[i - 1, v]), radius=radius)
-            res = match_template(frame.pixels, tpl, measure, region=region, min_score=min_score)
+            res = match_template(image, tpl, measure, region=region, min_score=min_score)
             positions[i, v], scores[i, v], widened[i, v] = res.position, res.score, res.widened
         if mode == UPDATING:
             # each updating template searches one reference frame; in the

@@ -11,6 +11,7 @@ from resp4d.matcher import (
     CCORR_NORMED,
     MEASURES,
     MatchResult,
+    SearchFrame,
     SearchRegion,
     Template,
     cut_template,
@@ -197,6 +198,65 @@ def test_template_spectrum_is_kept_per_frame_shape_and_measure():
             fresh = cut_template(_rng_image(24), 9, 7, 8, 6)
             assert np.array_equal(response_map(img, fresh, measure), first)
     assert len(tpl._spectra) == 4
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("shape", [(48, 48), (45, 62)])
+def test_search_frame_equals_the_plain_array_search(monkeypatch, measure, shape, spectral_calls):
+    """Whole-frame searches of one SearchFrame give, bit for bit, the peaks of the plain array's response maps.
+
+    The frame's spectrum and column sums are built once for every template
+    searched in it, whatever the template's size.
+    """
+    img = _rng_image(41, shape=shape)
+    img[:14, :20] = 300.0  # zero-energy patches in the top-left corner
+    # 13x13 and 17x17 cuts: integer corners are cap hits, fractional ones are
+    # refined, and the first two overlap the flat block
+    cuts = [(10, 5, 13), (4.5, 6.25, 17), (20.75, 25.5, 13), (30, 20, 17)]
+    templates = [cut_template(img, x, y, size, size) for x, y, size in cuts]
+    want = [find_peak_subpixel(response_map(img, tpl, measure)) for tpl in templates]
+    built, column_sums = [], matcher._column_sums
+
+    def counted(values):
+        built.append(values.shape)
+        return column_sums(values)
+
+    monkeypatch.setattr(matcher, "_column_sums", counted)
+    spectral_calls.clear()
+    frame = SearchFrame(img)
+    for tpl, expected in zip(templates, want):
+        got = match_template(frame, tpl, measure)
+        assert (got.position, got.score, got.widened) == (expected.position, expected.score, False)
+    assert [res.score for res in want].count(1.0) == 2
+    assert len(built) == (2 if measure == CCOEFF_NORMED else 1)
+    assert spectral_calls.count((1,) + shape) == 1  # the frame's own rfft2; the rest are kernels
+    for tpl, expected in zip(templates, want):  # a plain array is wrapped for its one search
+        got = match_template(img, tpl, measure)
+        assert (got.position, got.score) == (expected.position, expected.score)
+        region = SearchRegion(center=(expected.position[0] + 2.0, expected.position[1] - 1.0), radius=4)
+        assert match_template(frame, tpl, measure, region) == match_template(img, tpl, measure, region)
+
+
+def _integral_window_sums(crop, shape):
+    """The window sums of two full integral-image passes, the form the separable sums replace."""
+    (h, w), (th, tw) = crop.shape[-2:], shape
+    oh, ow = h - th + 1, w - tw + 1
+    ii = np.zeros(crop.shape[:-2] + (h + 1, w + 1))
+    ii[..., 1:, 1:] = crop.cumsum(axis=-2).cumsum(axis=-1)
+    return ii[..., th:, tw:] - ii[..., :oh, tw:] - ii[..., th:, :ow] + ii[..., :oh, :ow]
+
+
+@pytest.mark.parametrize("crop_shape", [(37, 45), (3, 30, 41), (140, 176)])
+def test_separable_window_sums_equal_the_integral_images(crop_shape):
+    """On uint16 values every partial sum is an exact integer, so the running sums agree bit for bit in any order."""
+    rng = np.random.default_rng(list(crop_shape))
+    crop = rng.integers(0, 2**16, size=crop_shape).astype(np.float64)
+    crop[..., :5, :] = 65535.0  # the largest squares
+    for shape in ((13, 13), (17, 17), (6, 8), (1, 1), crop_shape[-2:]):
+        s1, s2 = matcher._window_sums(crop, shape, CCOEFF_NORMED)
+        assert np.array_equal(s1, _integral_window_sums(crop, shape))
+        assert np.array_equal(s2, _integral_window_sums(crop * crop, shape))
+        assert matcher._window_sums(crop, shape, CCORR_NORMED)[0] is None
 
 
 @pytest.mark.parametrize("measure", MEASURES)

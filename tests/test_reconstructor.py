@@ -404,6 +404,20 @@ def test_average_bin_arithmetic():
     assert np.array_equal(average_bin([a, b]), np.full((4, 4), 150.0))
 
 
+def test_average_bin_equals_the_stacked_mean_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for case in range(300):
+        dtype = (np.float64, np.float32, np.uint16)[case % 3]
+        shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
+        scale = 10.0 ** rng.uniform(-3, 4) if dtype != np.uint16 else 2**16
+        frames = [(rng.random(shape) * scale).astype(dtype) for _ in range(int(rng.integers(1, 7)))]
+        kept = [f.copy() for f in frames]
+        got = average_bin(frames)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.mean(np.stack(frames), axis=0, dtype=np.float64))
+        assert all(np.array_equal(f, k) for f, k in zip(frames, kept))  # the inputs stay as they were
+
+
 def test_stack_copies_lone_frames_and_quantizes_averages(tmp_path):
     # slice 0 holds flat frames of 1, 2, 3, 65535, 65535; slice 1 two ramps
     flat = [np.full((2, 3), v, dtype=np.uint16) for v in (1, 2, 3, 65535, 65535)]

@@ -9,7 +9,7 @@ import pytest
 from resp4d import tracker
 from resp4d.errors import TrackingError, ValidationError
 from resp4d.imgcore import NAVIGATOR, Frame, ReferenceSequence
-from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchRegion, cut_template, match_template
+from resp4d.matcher import CCOEFF_NORMED, CCORR_NORMED, SearchFrame, SearchRegion, cut_template, match_template
 from resp4d.phantom import PhantomSpec, generate_phantom, render_frame, suggested_rois
 from resp4d.tracker import (
     FIXED,
@@ -183,6 +183,29 @@ def test_fixed_tracking_is_one_whole_frame_call_per_frame_and_vessel(monkeypatch
     assert len(calls) == (9 - 1) * 2
     assert all(region is None for region in calls)
     assert len(sets) == 1 and trace.positions.shape == (9, 2, 2)
+
+
+@pytest.mark.parametrize("mode, radius", [(FIXED, 10), (UPDATING, None), (UPDATING, 10)])
+def test_whole_frame_tracking_wraps_each_frame_once_for_every_vessel(monkeypatch, mode, radius):
+    # whole-frame searches of one reference frame share its spectrum and
+    # column sums through one SearchFrame; regional ones take the plain pixels
+    images = []
+
+    def recorded(image, template, measure, region=None, min_score=0.5):
+        images.append(image)
+        return match_template(image, template, measure, region=region, min_score=min_score)
+
+    monkeypatch.setattr(tracker, "match_template", recorded)
+    ref = _sequence([(24.0, 24.0 + math.sin(i)) for i in range(6)])
+    rois = [_ROI[0], Roi(label="v1", x=20, y=19, width=9, height=9)]
+    track_reference(ref, rois, search_radius=radius, mode=mode)
+    assert len(images) == 5 * 2
+    for i, (first, second) in enumerate(zip(images[::2], images[1::2]), start=1):
+        if mode == FIXED or radius is None:
+            assert isinstance(first, SearchFrame) and first is second
+            assert np.array_equal(first.pixels, ref.frames[i].pixels)
+        else:
+            assert first is second is ref.frames[i].pixels
 
 
 def test_locate_in_same_frame_is_exact():
