@@ -46,7 +46,7 @@ changes with breathing lie within 0.11 of three or four, and leave 1-14 %.
 
 ``match_templates`` is the one search: S images by R templates, each in its
 own region (all S images as one stack) or over the whole frame (one image
-at a time, as a ``SearchFrame``), widening weak regional bests.
+at a time), widening weak regional bests.
 ``match_template`` is ``match_templates`` of one image and one template, and
 ``placement_bounds`` row 0 of ``placement_boxes``.
 """
@@ -241,14 +241,13 @@ def _window_sums(crop: np.ndarray, shape: tuple[int, int], measure: str):
 
 @dataclass
 class SearchFrame:
-    """One frame's float64 ``pixels`` with what a whole-frame search reads of it, each built the first time it is used.
+    """One frame's float64 ``pixels`` with what whole-frame searches read of it, each built the first time it is used.
 
     The running sums down its columns, of the pixels (for ``ccoeff_normed``)
     and of their squares, give the window sums of every template size, and
     its ``rfft2`` spectrum serves every template's FFT correlation.  A
-    caller that searches one frame for several templates, one call each
-    (``tracker.track_reference``), wraps the frame once; ``match_templates``
-    wraps any other whole frame for its own search.
+    caller that searches one frame for several templates, one call each,
+    wraps it once (``tracker.track_reference``).
     """
 
     pixels: np.ndarray
@@ -625,16 +624,16 @@ def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = Non
 
 
 def _best_in_frame(image, bank: TemplateBank):
-    """Subpixel best placement of every template of ``bank`` over the whole of ``image``, from the statistics kept on its ``SearchFrame``.
+    """Subpixel best placement of every template of ``bank`` over the whole of ``image``: positions ``(1, R, 2)`` and scores ``(1, R)``.
 
-    A plain image is wrapped for this search.  Returns positions ``(1, R, 2)``
-    and scores ``(1, R)``.
+    A ``SearchFrame`` lends its kept statistics; a plain image's are built
+    for this search alone, and dropped before the peaks are sought.
     """
-    frame = image if isinstance(image, SearchFrame) else SearchFrame(image)
-    shape = bank.templates[0].pixels.shape
-    whole = placement_boxes(frame.pixels.shape, shape)[None]
-    s1, s2 = frame.window_sums(shape, bank.measure)
-    return _peaks(frame.pixels.shape, frame.pixels[None], s1, s2, bank, whole, frame)
+    frame = image if isinstance(image, SearchFrame) else None
+    pixels, shape = _as_image(image)[None], bank.templates[0].pixels.shape
+    whole = placement_boxes(pixels.shape[1:], shape)[None]
+    s1, s2 = _window_sums(pixels, shape, bank.measure) if frame is None else frame.window_sums(shape, bank.measure)
+    return _peaks(pixels.shape[1:], pixels, s1, s2, bank, whole, frame)
 
 
 def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray):
