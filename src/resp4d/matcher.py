@@ -626,8 +626,8 @@ def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = Non
 def _best_in_frame(image, bank: TemplateBank):
     """Subpixel best placement of every template of ``bank`` over the whole of ``image``: positions ``(1, R, 2)`` and scores ``(1, R)``.
 
-    A ``SearchFrame`` lends its kept statistics; a plain image's are built
-    for this search alone, and dropped before the peaks are sought.
+    A ``SearchFrame`` lends its kept statistics; a plain image's window sums
+    are built for this search alone, and its column sums are not kept.
     """
     frame = image if isinstance(image, SearchFrame) else None
     pixels, shape = _as_image(image)[None], bank.templates[0].pixels.shape
