@@ -1,7 +1,6 @@
 """Dense normalized-correlation template matching with subpixel refinement.
 
-Two similarity measures are provided, both computed directly in the spatial
-domain in float64:
+Two similarity measures are provided, both computed in float64:
 
 ``ccoeff_normed``
     zero-mean normalized cross-correlation: template and image patch both have
@@ -14,13 +13,14 @@ domain in float64:
 Scores live in [-1, 1] (``ccorr_normed`` stays in [0, 1] for non-negative
 images).  Patch statistics come from running sums: one down the columns of
 the image, shared by every template height, then one along each row of
-windows (``_window_sums``).  On uint16-valued pixels every partial sum, of
-the pixels or of their squares, is an integer below 2**53 for frames of up
-to about two million pixels, so the sums are exact in any order.  They are
-shared by every template scored over the same placement box, and a
-``SearchFrame`` keeps one frame's column sums and its spectrum for every
-whole-frame search of it.  The cross term is computed in one of three ways, following
-J. P. Lewis, "Fast Normalized Cross-Correlation", Vision Interface 1995:
+windows (``SearchFrame.window_sums``).  On uint16-valued pixels every
+partial sum, of the pixels or of their squares, is an integer below 2**53
+for frames of up to about two million pixels, so the sums are exact in any
+order.  Every search reads them, and a whole frame's spectrum, from the
+``SearchFrame`` that wraps what it scores, so they are shared by every
+template scored over it.  The cross term is computed in one of three ways,
+following J. P. Lewis, "Fast Normalized Cross-Correlation", Vision
+Interface 1995:
 one template searched over the whole frame correlates in the frequency
 domain (the template's spectrum is kept on the template); one template over
 a smaller box (a crop, or a stack of crops) is a Toeplitz product, each row
@@ -46,7 +46,8 @@ changes with breathing lie within 0.11 of three or four, and leave 1-14 %.
 
 ``match_templates`` is the one search: S images by R templates, each in its
 own region (all S images as one stack) or over the whole frame (one image
-at a time), widening weak regional bests.
+at a time), widening weak regional bests.  One template's peak in each box
+is picked by ``find_peak_subpixel``.
 ``match_template`` is ``match_templates`` of one image and one template, and
 ``placement_bounds`` row 0 of ``placement_boxes``.
 """
@@ -234,42 +235,42 @@ def _windows(columns: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return rows[..., tw:] - rows[..., :ow]
 
 
-def _window_sums(crop: np.ndarray, shape: tuple[int, int], measure: str):
-    """Per-placement patch sums (None for ``ccorr_normed``) and sums of squares, over any leading axes."""
-    return (_windows(_column_sums(crop), shape) if measure == CCOEFF_NORMED else None), _windows(_column_sums(crop * crop), shape)
-
-
 @dataclass
 class SearchFrame:
-    """One frame's float64 ``pixels`` with what whole-frame searches read of it, each built the first time it is used.
+    """A frame ``(h, w)`` or a stack of crops ``(S, h, w)`` of float64 ``pixels``, with what a search reads of it, each built the first time it is used.
 
+    ``stack`` is the pixels as ``(S, h, w)``, a frame being a stack of one.
     The running sums down its columns, of the pixels (for ``ccoeff_normed``)
     and of their squares, give the window sums of every template size, and
-    its ``rfft2`` spectrum serves every template's FFT correlation.  A
-    caller that searches one frame for several templates, one call each,
-    wraps it once (``tracker.track_reference``).
+    the ``rfft2`` spectrum of a whole frame serves every template's FFT
+    correlation.  Each search wraps what it scores: ``_best_in_stack`` its
+    stack of crops, ``_best_in_frame`` a plain frame, ``match_scores`` its
+    crop.  A caller that searches one frame for several templates, one call
+    each, wraps it once (``tracker.track_reference``) and passes it as the
+    image.
     """
 
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.pixels = _as_image(self.pixels)
+        self.pixels = _as_image(self.pixels, stack=True)
+        self.stack = self.pixels if self.pixels.ndim == 3 else self.pixels[None]
 
     @cached_property
     def _plain(self) -> np.ndarray:
-        return _column_sums(self.pixels[None])
+        return _column_sums(self.stack)
 
     @cached_property
     def _squares(self) -> np.ndarray:
-        return _column_sums(self.pixels[None] * self.pixels[None])
+        return _column_sums(self.stack * self.stack)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """``rfft2`` of the frame as a stack of one, ``(1, h, w // 2 + 1)``."""
-        return np.fft.rfft2(self.pixels[None])
+        """``rfft2`` of the stack, ``(S, h, w // 2 + 1)``."""
+        return np.fft.rfft2(self.stack)
 
     def window_sums(self, shape: tuple[int, int], measure: str):
-        """``_window_sums`` of the frame as a stack of one, read from its kept column sums."""
+        """Per-placement patch sums (None for ``ccorr_normed``) and sums of squares of every image, ``(S, oh, ow)`` each."""
         return (_windows(self._plain, shape) if measure == CCOEFF_NORMED else None), _windows(self._squares, shape)
 
 
@@ -387,46 +388,44 @@ def match_scores(image, templates: list[Template], measure: str,
     img = _as_image(image, stack=len(templates) == 1)
     x0, x1, y0, y1 = bounds
     th, tw = templates[0].pixels.shape
-    crop = img[..., y0 : y1 + th, x0 : x1 + tw]
-    s1, s2 = _window_sums(crop, (th, tw), measure)
+    crop = SearchFrame(img[..., y0 : y1 + th, x0 : x1 + tw])
+    s1, s2 = crop.window_sums((th, tw), measure)
     if len(templates) == 1:
-        return _kernel_scores(img.shape[-2:], crop, s1, s2, templates, measure)
-    return _every_score(crop, s1, s2, bank)
+        scores = _kernel_scores(img.shape[-2:], crop, s1, s2, templates, measure)
+    else:
+        scores = _every_score(crop, s1, s2, bank)
+    return scores if img.ndim == 3 else scores[0]
 
 
-def _kernel_scores(frame: tuple[int, int], crop: np.ndarray, s1, s2, templates: list[Template], measure: str,
-                   spectrum: np.ndarray | None = None) -> np.ndarray:
-    """k same-shape templates' scores at every placement of ``crop``, cut from frames of shape ``frame``: ``(..., k, oh, ow)``.
-
-    ``spectrum``, if given, is ``rfft2`` of a ``crop`` that is one whole frame.
-    """
+def _kernel_scores(frame: tuple[int, int], crop: SearchFrame, s1, s2, templates: list[Template],
+                   measure: str) -> np.ndarray:
+    """k same-shape templates' scores at every placement of each image of ``crop``, cut from frames of shape ``frame``: ``(S, k, oh, ow)``."""
     kernels, totals, energies = zip(*(_terms(tpl, measure) for tpl in templates))
     th, tw = kernels[0].shape
     oh, ow = s2.shape[-2:]
-    if crop.shape[-2:] == frame and crop.size == frame[0] * frame[1]:
+    pixels = crop.stack
+    if pixels.shape == (1,) + frame:
         # one whole frame: valid placements never wrap, so the circular
         # correlation needs no padding beyond the frame
-        if spectrum is None:
-            spectrum = np.fft.rfft2(crop)
         spectra = []
         for tpl, kernel in zip(templates, kernels):
             if (frame, measure) not in tpl._spectra:
                 tpl._spectra[(frame, measure)] = np.conj(np.fft.rfft2(kernel, s=frame))
             spectra.append(tpl._spectra[(frame, measure)])
         spectra = spectra[0] if len(spectra) == 1 else np.stack(spectra)  # one spectrum broadcasts uncopied
-        cross = np.fft.irfft2(spectrum[..., None, :, :] * spectra, s=frame)[..., :oh, :ow]
+        cross = np.fft.irfft2(crop.spectrum[..., None, :, :] * spectra, s=frame)[..., :oh, :ow]
     else:
         # template row k slides along image row i + k: one banded matrix
         # holds every horizontal shift of every template, and output row i
         # is rows i..i+th-1 times it.  Entry (t, j + i, r, j) is template
         # r's pixel (t, i), written through a strided view of those entries
-        w = crop.shape[-1]
+        w = pixels.shape[-1]
         band = np.zeros((th, w, len(kernels), ow))
         st, sx, sr, sj = band.strides
         as_strided(band, (th, len(kernels), ow, tw), (st, sr, sx + sj, sx))[...] = np.swapaxes(kernels, 0, 1)[:, :, None]
-        rows = np.swapaxes(sliding_window_view(crop, th, axis=-2), -1, -2)
-        cross = rows.reshape(crop.shape[:-2] + (oh, th * w)) @ band.reshape(th * w, -1)
-        cross = cross.reshape(crop.shape[:-2] + (oh, len(kernels), ow)).swapaxes(-2, -3)
+        rows = np.swapaxes(sliding_window_view(pixels, th, axis=-2), -1, -2)
+        cross = rows.reshape((len(pixels), oh, th * w)) @ band.reshape(th * w, -1)
+        cross = cross.reshape((len(pixels), oh, len(kernels), ow)).swapaxes(-2, -3)
     totals = None if totals[0] is None else np.array(totals)[:, None, None]
     return _normalize(cross, None if s1 is None else s1[..., None, :, :], s2[..., None, :, :],
                       totals, np.array(energies)[:, None, None], th * tw)
@@ -437,22 +436,10 @@ def _product(bank: TemplateBank, cols: np.ndarray, s1, s2) -> np.ndarray:
     return _normalize(bank.kernels @ cols.T, s1, s2, bank.sums, bank.energies, cols.shape[1])
 
 
-def _every_score(crop: np.ndarray, s1, s2, bank: TemplateBank) -> np.ndarray:
-    """Every template of ``bank`` at every placement of ``crop``, shape ``(R, oh, ow)``.
-
-    An im2col copy of the windows times the stacked kernels, in bands of
-    placement rows so the copy stays small.
-    """
-    windows = sliding_window_view(crop, bank.templates[0].pixels.shape)
-    oh, ow = s2.shape
-    scores = np.empty((len(bank.templates), oh, ow))
-    step = max(1, _BAND_PLACEMENTS // ow)
-    for j0 in range(0, oh, step):
-        j1 = min(j0 + step, oh)
-        cols = windows[j0:j1].reshape((j1 - j0) * ow, -1)
-        band = _product(bank, cols, None if s1 is None else s1[j0:j1].ravel(), s2[j0:j1].ravel())
-        scores[:, j0:j1] = band.reshape(-1, j1 - j0, ow)
-    return scores
+def _every_score(crop: SearchFrame, s1, s2, bank: TemplateBank) -> np.ndarray:
+    """Every template of ``bank`` at every placement of each image of ``crop``: ``_scores_at`` of them all, shape ``(S, R, oh, ow)``."""
+    windows = sliding_window_view(crop.stack, bank.templates[0].pixels.shape, axis=(-2, -1))
+    return _scores_at(windows, s1, s2, bank, np.arange(s2.size)).reshape((-1,) + s2.shape).swapaxes(0, 1)
 
 
 def _scores_at(windows: np.ndarray, s1, s2, bank: TemplateBank, flat: np.ndarray) -> np.ndarray:
@@ -516,7 +503,7 @@ def find_peak_subpixel(response: np.ndarray) -> MatchResult:
     if resp.ndim != 2 or resp.size == 0:
         raise ValueError(f"response must be a non-empty 2D array, got shape {resp.shape}")
     rows, cols = resp.shape
-    iy, ix = divmod(int(np.argmax(resp)), cols)
+    iy, ix = divmod(int(resp.argmax()), cols)
     peak = float(resp[iy, ix])
     x, y = float(ix), float(iy)
     if _cap_hits(peak):
@@ -526,26 +513,6 @@ def find_peak_subpixel(response: np.ndarray) -> MatchResult:
     if 0 < iy < rows - 1:
         y += _parabolic_offset(float(resp[iy - 1, ix]), peak, float(resp[iy + 1, ix]))
     return MatchResult(position=(x, y), score=peak)
-
-
-def pick_peaks(response: np.ndarray, boxes: np.ndarray):
-    """``find_peak_subpixel`` of ``response[r]`` cut to ``boxes[r]``, for all R at once.
-
-    ``response`` is ``(R, rows, cols)`` and ``boxes`` ``(R, 4)`` inclusive
-    (x0, x1, y0, y1) indices into it.  Returns positions ``(R, 2)``, relative
-    to each box's corner (x0, y0), and scores ``(R,)``: bit for bit what
-    ``find_peak_subpixel`` gives on each cut.
-    """
-    n, rows, cols = response.shape
-    masked = response.copy()
-    _outside_to_inf(masked, boxes)
-    # row-major argmax over the union visits each box's placements in the
-    # box's own row-major order, so ties resolve as in find_peak_subpixel
-    iy, ix = np.divmod(masked.reshape(n, -1).argmax(axis=1), cols)
-    r = np.arange(n)
-    left, right = response[r, iy, np.maximum(ix - 1, 0)], response[r, iy, np.minimum(ix + 1, cols - 1)]
-    up, down = response[r, np.maximum(iy - 1, 0), ix], response[r, np.minimum(iy + 1, rows - 1), ix]
-    return _refine(boxes, ix, iy, response[r, iy, ix], left, right, up, down)
 
 
 def _outside_to_inf(values: np.ndarray, boxes: np.ndarray) -> None:
@@ -608,6 +575,8 @@ def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = Non
     shapes = imgs[0].shape, templates[0].pixels.shape
     if centers is not None and np.shape(centers) != (len(imgs), len(templates), 2):
         raise ValueError(f"centres must have shape {(len(imgs), len(templates), 2)}, got {np.shape(centers)}")
+    if radius is not None and radius < 1:
+        raise ValueError(f"search radius must be >= 1, got {radius}")
     regional = centers is not None and radius is not None
     if regional:
         boxes = placement_boxes(*shapes, np.reshape(centers, (-1, 2)), radius).reshape(len(imgs), len(templates), 4)
@@ -626,14 +595,12 @@ def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = Non
 def _best_in_frame(image, bank: TemplateBank):
     """Subpixel best placement of every template of ``bank`` over the whole of ``image``: positions ``(1, R, 2)`` and scores ``(1, R)``.
 
-    A ``SearchFrame`` lends its kept statistics; a plain image's window sums
-    are built for this search alone, and its column sums are not kept.
+    A ``SearchFrame`` lends its kept statistics; a plain image is wrapped
+    for this search alone.
     """
-    frame = image if isinstance(image, SearchFrame) else None
-    pixels, shape = _as_image(image)[None], bank.templates[0].pixels.shape
-    whole = placement_boxes(pixels.shape[1:], shape)[None]
-    s1, s2 = _window_sums(pixels, shape, bank.measure) if frame is None else frame.window_sums(shape, bank.measure)
-    return _peaks(pixels.shape[1:], pixels, s1, s2, bank, whole, frame)
+    frame = image if isinstance(image, SearchFrame) else SearchFrame(image)
+    shape = frame.pixels.shape
+    return _peaks(shape, frame, bank, placement_boxes(shape, bank.templates[0].pixels.shape)[None])
 
 
 def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray):
@@ -659,32 +626,28 @@ def _best_in_stack(imgs: list[np.ndarray], bank: TemplateBank, boxes: np.ndarray
     crop = np.empty((len(imgs), sy + th, sx + tw))
     for out, img, (x, y) in zip(crop, imgs, corners.tolist()):
         out[...] = img[y : y + sy + th, x : x + sx + tw]
-    s1, s2 = _window_sums(crop, (th, tw), bank.measure)
-    positions, scores = _peaks(frame, crop, s1, s2, bank, boxes - corners[:, None, [0, 0, 1, 1]])
+    positions, scores = _peaks(frame, SearchFrame(crop), bank, boxes - corners[:, None, [0, 0, 1, 1]])
     return positions + boxes[..., 0::2], scores
 
 
-def _peaks(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray,
-           whole: SearchFrame | None = None):
-    """Subpixel best placement of template ``r`` within box ``boxes[s, r]`` of the S stacked crops ``crop``, relative to the box's corner.
+def _peaks(frame: tuple[int, int], crop: SearchFrame, bank: TemplateBank, boxes: np.ndarray):
+    """Subpixel best placement of template ``r`` within box ``boxes[s, r]`` of image ``s`` of ``crop``, relative to the box's corner.
 
-    ``boxes`` is ``(S, R, 4)`` or ``(S, 1, 4)``; ``whole`` is the frame when
-    ``crop`` is all of it, and lends one template its spectrum.  Returns
-    positions ``(S, R, 2)`` and scores ``(S, R)``.
+    ``boxes`` is ``(S, R, 4)`` or ``(S, 1, 4)``.  R > 1 templates take the
+    bounded search; one template is scored at every placement, and
+    ``find_peak_subpixel`` picks each box's peak.  Returns positions
+    ``(S, R, 2)`` and scores ``(S, R)``.
     """
+    s1, s2 = crop.window_sums(bank.templates[0].pixels.shape, bank.measure)
     if len(bank.templates) > 1:
-        return _bounded_peaks(frame, crop, s1, s2, bank, np.broadcast_to(boxes, (len(crop), len(bank.templates), 4)))
-    response = _kernel_scores(frame, crop, s1, s2, bank.templates, bank.measure,
-                              None if whole is None else whole.spectrum)[:, 0]
-    if len(crop) == 1:
-        # the crop is the box: the scalar peak picker costs about a tenth of pick_peaks
-        peak = find_peak_subpixel(response[0])
-        return np.array([[peak.position]]), np.array([[peak.score]])
-    return tuple(a[:, None] for a in pick_peaks(response, boxes[:, 0]))
+        return _bounded_peaks(frame, crop, s1, s2, bank, np.broadcast_to(boxes, (len(s2), len(bank.templates), 4)))
+    response = _kernel_scores(frame, crop, s1, s2, bank.templates, bank.measure)[:, 0]
+    found = [find_peak_subpixel(r[y0 : y1 + 1, x0 : x1 + 1]) for r, (x0, x1, y0, y1) in zip(response, boxes[:, 0].tolist())]
+    return np.array([[peak.position] for peak in found]), np.array([[peak.score] for peak in found])
 
 
-def _bounded_peaks(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray):
-    """``pick_peaks`` of R > 1 templates in S stacked crops, template ``r`` in crop ``s`` within ``boxes[s, r]``, scoring each only where its peak can be.
+def _bounded_peaks(frame: tuple[int, int], crop: SearchFrame, s1, s2, bank: TemplateBank, boxes: np.ndarray):
+    """``find_peak_subpixel`` of R > 1 templates in each box, template ``r`` in image ``s`` of ``crop`` within ``boxes[s, r]``, scoring each only where its peak can be.
 
     With unit kernels ``t̂``, every score is ``<t̂, p̂>`` for a unit patch
     ``p̂`` (a flat patch scores 0 for all).  The bank's basis approximates
@@ -710,7 +673,7 @@ def _bounded_peaks(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: Templ
     """
     n, oh, ow = s2.shape
     count = len(bank.templates)
-    windows = sliding_window_view(crop, bank.templates[0].pixels.shape, axis=(-2, -1))
+    windows = sliding_window_view(crop.stack, bank.templates[0].pixels.shape, axis=(-2, -1))
     cand = _candidates(frame, crop, s1, s2, bank, boxes, windows)
     cs, cy, cx = np.unravel_index(cand, s2.shape)
     scores = _scores_at(windows, s1, s2, bank, cand)
@@ -719,8 +682,8 @@ def _bounded_peaks(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: Templ
         x0, x1, y0, y1 = np.transpose(boxes)[:, :, cs]
         scores[~((x0 <= cx) & (cx <= x1) & (y0 <= cy) & (cy <= y1))] = -np.inf
     # the first maximum among each crop's candidates, in row-major order: ties
-    # resolve as in pick_peaks.  Every crop holds candidates, since each
-    # chain's own probe is one
+    # resolve as in find_peak_subpixel.  Every crop holds candidates, since
+    # each chain's own probe is one
     starts = np.searchsorted(cs, np.arange(n))
     peaks = np.maximum.reduceat(scores, starts, axis=1)
     first = np.minimum.reduceat(np.where(scores == peaks[:, cs], np.arange(cand.size), cand.size), starts, axis=1)
@@ -738,7 +701,7 @@ def _bounded_peaks(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: Templ
     return positions.reshape(n, count, 2), scores.reshape(n, count)
 
 
-def _candidates(frame: tuple[int, int], crop: np.ndarray, s1, s2, bank: TemplateBank, boxes: np.ndarray,
+def _candidates(frame: tuple[int, int], crop: SearchFrame, s1, s2, bank: TemplateBank, boxes: np.ndarray,
                 windows: np.ndarray) -> np.ndarray:
     """Flat ``(s, y, x)`` indices, in row-major order, of the placements where some chain of ``_bounded_peaks`` can peak.
 

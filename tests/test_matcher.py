@@ -19,7 +19,6 @@ from resp4d.matcher import (
     match_scores,
     match_template,
     match_templates,
-    pick_peaks,
     placement_bounds,
     placement_boxes,
     response_map,
@@ -229,7 +228,7 @@ def test_search_frame_equals_the_plain_array_search(monkeypatch, measure, shape,
         assert (got.position, got.score, got.widened) == (expected.position, expected.score, False)
     assert [res.score for res in want].count(1.0) == 2
     assert len(built) == (2 if measure == CCOEFF_NORMED else 1)
-    assert spectral_calls.count((1,) + shape) == 1  # the frame's own rfft2; the rest are kernels
+    assert [call[-2:] for call in spectral_calls].count(shape) == 1  # the frame's own rfft2; the rest are kernels
     for tpl, expected in zip(templates, want):  # a plain array is wrapped for its one search
         got = match_template(img, tpl, measure)
         assert (got.position, got.score) == (expected.position, expected.score)
@@ -252,11 +251,13 @@ def test_separable_window_sums_equal_the_integral_images(crop_shape):
     rng = np.random.default_rng(list(crop_shape))
     crop = rng.integers(0, 2**16, size=crop_shape).astype(np.float64)
     crop[..., :5, :] = 65535.0  # the largest squares
+    frame = SearchFrame(crop)
+    stack = crop if crop.ndim == 3 else crop[None]
     for shape in ((13, 13), (17, 17), (6, 8), (1, 1), crop_shape[-2:]):
-        s1, s2 = matcher._window_sums(crop, shape, CCOEFF_NORMED)
-        assert np.array_equal(s1, _integral_window_sums(crop, shape))
-        assert np.array_equal(s2, _integral_window_sums(crop * crop, shape))
-        assert matcher._window_sums(crop, shape, CCORR_NORMED)[0] is None
+        s1, s2 = frame.window_sums(shape, CCOEFF_NORMED)
+        assert np.array_equal(s1, _integral_window_sums(stack, shape))
+        assert np.array_equal(s2, _integral_window_sums(stack * stack, shape))
+        assert frame.window_sums(shape, CCORR_NORMED)[0] is None
 
 
 @pytest.mark.parametrize("measure", MEASURES)
@@ -279,6 +280,22 @@ def test_match_templates_rejects_centres_of_the_wrong_shape():
     for bad in (centres.transpose(1, 0, 2), centres[:, :2], centres.reshape(-1, 2)):
         with pytest.raises(ValueError, match=r"centres must have shape \(2, 3, 2\)"):
             match_templates(imgs, bank, centers=bad, radius=4)
+
+
+@pytest.mark.parametrize("radius", [0, -3])
+def test_match_templates_refuses_a_radius_below_one(monkeypatch, radius):
+    imgs = [_rng_image(27), _rng_image(28)]
+    tpls = [cut_template(imgs[0], x, 5, 8, 6) for x in (3, 20, 30)]
+    centres = np.full((2, 3, 2), 12.5)  # a fractional centre divided by zero at radius 0
+
+    def no_search(*args):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(matcher, "_best_in_stack", no_search)
+    monkeypatch.setattr(matcher, "_best_in_frame", no_search)
+    for bank in (template_bank(tpls, CCOEFF_NORMED), template_bank(tpls[:1], CCOEFF_NORMED)):
+        with pytest.raises(ValueError, match=f"search radius must be >= 1, got {radius}"):
+            match_templates(imgs, bank, centers=centres[:, : len(bank.templates)], radius=radius)
 
 
 def test_match_scores_takes_a_stack_for_one_template_only():
@@ -427,10 +444,27 @@ def test_score_cap_skips_refinement_on_exact_match():
     assert res.score == pytest.approx(1.0, abs=1e-9)
 
 
+def _refine_first_maxima(response, boxes):
+    """``matcher._refine`` of the first row-major maximum of each box ``boxes[r]`` of ``response[r]``.
+
+    The four neighbours are clamped to the grid, as ``_bounded_peaks`` reads
+    them; ``_refine`` uses only those strictly inside the box.
+    """
+    rows, cols = response.shape[1:]
+    found = []
+    for r, (x0, x1, y0, y1) in enumerate(boxes.tolist()):
+        j, i = divmod(int(response[r, y0 : y1 + 1, x0 : x1 + 1].argmax()), x1 - x0 + 1)
+        iy, ix = y0 + j, x0 + i
+        found.append((ix, iy, response[r, iy, ix],
+                      response[r, iy, max(ix - 1, 0)], response[r, iy, min(ix + 1, cols - 1)],
+                      response[r, max(iy - 1, 0), ix], response[r, min(iy + 1, rows - 1), ix]))
+    return matcher._refine(boxes, *map(np.array, zip(*found)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_vectorized_picker_equals_scalar_picker_per_box(seed):
-    """pick_peaks gives, bit for bit, find_peak_subpixel of every box's cut."""
+    """``_refine`` of each box's first maximum gives, bit for bit, find_peak_subpixel of every box's cut."""
     rng = np.random.default_rng(seed)
     n, rows, cols = 9, int(rng.integers(1, 12)), int(rng.integers(1, 12))
     # a coarse value lattice makes ties and flat parabolas common
@@ -440,7 +474,7 @@ def test_vectorized_picker_equals_scalar_picker_per_box(seed):
     y = np.sort(rng.integers(0, rows, size=(n, 2)), axis=1)
     x[0], y[0] = (0, cols - 1), (0, rows - 1)  # one box is the whole response
     boxes = np.stack([x[:, 0], x[:, 1], y[:, 0], y[:, 1]], axis=1)
-    positions, scores = pick_peaks(response, boxes)
+    positions, scores = _refine_first_maxima(response, boxes)
     for r, (x0, x1, y0, y1) in enumerate(boxes):
         want = find_peak_subpixel(response[r, y0 : y1 + 1, x0 : x1 + 1])
         assert (positions[r, 0], positions[r, 1]) == want.position
@@ -451,7 +485,7 @@ def test_cap_hit_reports_the_cap_and_keeps_the_lattice_point():
     resp = _resp_with_peak(0.6, 1.0 - 1e-12, 0.8)
     res = find_peak_subpixel(resp)
     assert res.position == (1.0, 1.0) and res.score == 1.0
-    positions, scores = pick_peaks(resp[None], np.array([[0, 2, 0, 2]]))
+    positions, scores = _refine_first_maxima(resp[None], np.array([[0, 2, 0, 2]]))
     assert positions.tolist() == [[1.0, 1.0]] and scores.tolist() == [1.0]
     below = find_peak_subpixel(_resp_with_peak(0.6, 1.0 - 1e-6, 0.8))
     assert below.position[0] != 1.0 and below.score == 1.0 - 1e-6
@@ -461,7 +495,7 @@ def test_cap_hit_reports_the_cap_and_keeps_the_lattice_point():
 
 
 def _full_search_oracle(img, templates, measure, boxes, min_score, regional):
-    """Every template scored over the union of its image's boxes, then pick_peaks; weak ones redone over the frame.
+    """Every template scored over the union of its image's boxes, then find_peak_subpixel per box; weak ones redone over the frame.
 
     Returns each box's integer peak (first row-major maximum, relative to
     the box), positions, scores and widened flags.
@@ -473,15 +507,16 @@ def _full_search_oracle(img, templates, measure, boxes, min_score, regional):
         divmod(int(response[r, y0 : y1 + 1, x0 : x1 + 1].argmax()), x1 - x0 + 1)[::-1]
         for r, (x0, x1, y0, y1) in enumerate(inner)
     ]
-    positions, scores = pick_peaks(response, inner)
-    positions = positions + boxes[:, [0, 2]]
+    found = [find_peak_subpixel(response[r, y0 : y1 + 1, x0 : x1 + 1]) for r, (x0, x1, y0, y1) in enumerate(inner)]
+    positions = np.array([peak.position for peak in found]) + boxes[:, [0, 2]]
+    scores = np.array([peak.score for peak in found])
     widened = scores < min_score if regional else np.zeros(len(templates), dtype=bool)
     redo = widened.nonzero()[0]
     if redo.size:
-        full = placement_boxes(img.shape, templates[0].pixels.shape)
-        got = pick_peaks(match_scores(img, [templates[r] for r in redo], measure, tuple(full[0])),
-                         np.repeat(full, redo.size, axis=0))
-        positions[redo], scores[redo] = got[0] + full[0, [0, 2]], got[1]
+        full = placement_bounds(img.shape, templates[0].pixels.shape)
+        for r, response in zip(redo, match_scores(img, [templates[r] for r in redo], measure, full)):
+            peak = find_peak_subpixel(response)
+            positions[r], scores[r] = peak.position, peak.score
     return np.array(peaks), positions, scores, widened
 
 
@@ -619,7 +654,7 @@ def test_stacked_bounded_search_equals_the_per_image_full_search(monkeypatch, ki
         return refine(boxes, ix, iy, *args)
 
     def recording_bounded(frame, crop, s1, s2, bank, boxes):
-        stacks.append(len(crop))
+        stacks.append(len(s2))
         return bounded(frame, crop, s1, s2, bank, boxes)
 
     def no_full_product(*args):

@@ -299,7 +299,7 @@ def test_bounded_localization_decides_as_the_full_search(monkeypatch, name):
 
     def recording_bounded(frame, crop, s1, s2, bank, boxes):
         # images stacked, placements in the stack, placements scored exactly
-        searches.append([len(crop), s2.size, 0])
+        searches.append([len(s2), s2.size, 0])
         return bounded(frame, crop, s1, s2, bank, boxes)
 
     def counted_scores_at(windows, s1, s2, bank, flat):
@@ -309,12 +309,14 @@ def test_bounded_localization_decides_as_the_full_search(monkeypatch, name):
     def full_search(frame, crop, s1, s2, bank, boxes):
         # every R > 1 search, stacked or not, as a full search: every chain
         # at every placement of its own image, then its peak in its own box
-        full_products.append(len(crop))
+        full_products.append(len(s2))
+        scores = matcher._every_score(crop, s1, s2, bank)
         found = [
-            matcher.pick_peaks(matcher._every_score(crop[s], None if s1 is None else s1[s], s2[s], bank), boxes[s])
-            for s in range(len(crop))
+            [matcher.find_peak_subpixel(scores[s, r, y0 : y1 + 1, x0 : x1 + 1]) for r, (x0, x1, y0, y1) in enumerate(box.tolist())]
+            for s, box in enumerate(boxes)
         ]
-        return tuple(map(np.stack, zip(*found)))
+        return (np.array([[peak.position for peak in row] for row in found]),
+                np.array([[peak.score for peak in row] for row in found]))
 
     monkeypatch.setattr(matcher, "_bounded_peaks", recording_bounded)
     monkeypatch.setattr(matcher, "_scores_at", counted_scores_at)

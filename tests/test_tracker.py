@@ -246,6 +246,14 @@ def test_locate_rejects_mismatched_priors():
         locate_in_navigator([ref.frames[0]] * 2, vessel_banks(sets, CCOEFF_NORMED), priors=[[[(0.0, 0.0)]]])
 
 
+@pytest.mark.parametrize("radius", [0, -3])
+def test_locate_refuses_a_radius_below_one(radius):
+    ref = _sequence([(24.0, 24.0)])
+    _, sets = track_reference(ref, _ROI, mode=FIXED)
+    with pytest.raises(ValueError, match=f"search radius must be >= 1, got {radius}"):
+        locate_in_navigator([ref.frames[0]], vessel_banks(sets, CCOEFF_NORMED), priors=[[[(18.5, 18.5)]]], search_radius=radius)
+
+
 @pytest.mark.parametrize("min_score, widened", [(-1.0, [False, False, False]), (0.5, [True, False, False])])
 def test_locate_batches_chains_as_separate_calls_would(min_score, widened):
     # three template sets of a blob moving down; chain 0's prior sits by the
