@@ -286,7 +286,7 @@ def test_match_templates_rejects_centres_of_the_wrong_shape():
 def test_match_templates_refuses_a_radius_below_one(monkeypatch, radius):
     imgs = [_rng_image(27), _rng_image(28)]
     tpls = [cut_template(imgs[0], x, 5, 8, 6) for x in (3, 20, 30)]
-    centres = np.full((2, 3, 2), 12.5)  # a fractional centre divided by zero at radius 0
+    centres = np.full((2, 3, 2), 12.5)  # fractional: at radius 0 the box from ceil(12.5) to floor(12.5) is empty
 
     def no_search(*args):
         raise AssertionError("a search started")
