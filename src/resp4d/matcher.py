@@ -66,6 +66,7 @@ from .errors import DegenerateTemplateError
 CCOEFF_NORMED = "ccoeff_normed"
 CCORR_NORMED = "ccorr_normed"
 MEASURES = (CCOEFF_NORMED, CCORR_NORMED)
+DEFAULT_MIN_SCORE = 0.5  # a regional best scoring below it widens to the full frame
 
 # integer-valued patches have energy either exactly 0 or >= ~1, so this only
 # has to absorb float rounding
@@ -286,7 +287,7 @@ class TemplateBank:
 
     For R > 1, ``kernels`` is the ``(R, n)`` matrix of the measure's kernels
     (zero-mean templates for ``ccoeff_normed``, raw ones for
-    ``ccorr_normed``), ``sums`` (None for ``ccorr_normed``) and ``energies``
+    ``ccorr_normed``), ``sums`` (zeros for ``ccorr_normed``) and ``energies``
     are ``(R, 1)``.  ``basis`` holds the k templates of ``_bounded_peaks``:
     template ``r``'s unit kernel lies ``residuals[r]`` from ``coeffs[r]``
     ``(R, k)`` times the basis templates' unit kernels.
@@ -307,16 +308,16 @@ class TemplateBank:
             return TemplateBank([self.templates[rows[0]]], self.measure)
         return replace(
             self, templates=[self.templates[r] for r in rows], kernels=self.kernels[rows],
-            sums=None if self.sums is None else self.sums[rows], energies=self.energies[rows],
+            sums=self.sums[rows], energies=self.energies[rows],
             coeffs=self.coeffs[rows], residuals=self.residuals[rows],
         )
 
 
 def _terms(tpl: Template, measure: str):
-    """``tpl``'s kernel, kernel sum (None for ``ccorr_normed``) and kernel energy under ``measure``."""
+    """``tpl``'s kernel, kernel sum (0 for ``ccorr_normed``, whose scores never read it) and kernel energy under ``measure``."""
     if measure == CCOEFF_NORMED:
         return tpl._zero_mean, tpl._sum_zero_mean, tpl._energy_zero_mean
-    return tpl.pixels, None, tpl._energy_raw
+    return tpl.pixels, 0.0, tpl._energy_raw
 
 
 def template_bank(templates: list[Template], measure: str) -> TemplateBank:
@@ -336,8 +337,7 @@ def template_bank(templates: list[Template], measure: str) -> TemplateBank:
     if len(templates) == 1:
         return TemplateBank(templates, measure)
     kernels, sums, energies = zip(*(_terms(tpl, measure) for tpl in templates))
-    kernels, energies = np.stack([k.ravel() for k in kernels]), np.array(energies)[:, None]
-    sums = None if sums[0] is None else np.array(sums)[:, None]
+    kernels, sums, energies = np.stack([k.ravel() for k in kernels]), np.array(sums)[:, None], np.array(energies)[:, None]
     return TemplateBank(templates, measure, kernels, sums, energies, *_basis(kernels / np.sqrt(energies), shape, measure))
 
 
@@ -426,14 +426,8 @@ def _kernel_scores(frame: tuple[int, int], crop: SearchFrame, s1, s2, templates:
         rows = np.swapaxes(sliding_window_view(pixels, th, axis=-2), -1, -2)
         cross = rows.reshape((len(pixels), oh, th * w)) @ band.reshape(th * w, -1)
         cross = cross.reshape((len(pixels), oh, len(kernels), ow)).swapaxes(-2, -3)
-    totals = None if totals[0] is None else np.array(totals)[:, None, None]
     return _normalize(cross, None if s1 is None else s1[..., None, :, :], s2[..., None, :, :],
-                      totals, np.array(energies)[:, None, None], th * tw)
-
-
-def _product(bank: TemplateBank, cols: np.ndarray, s1, s2) -> np.ndarray:
-    """Every template of ``bank`` scored at the m placements whose windows are the rows of ``cols`` ``(m, n)``: ``(R, m)``."""
-    return _normalize(bank.kernels @ cols.T, s1, s2, bank.sums, bank.energies, cols.shape[1])
+                      np.array(totals)[:, None, None], np.array(energies)[:, None, None], th * tw)
 
 
 def _every_score(crop: SearchFrame, s1, s2, bank: TemplateBank) -> np.ndarray:
@@ -443,12 +437,13 @@ def _every_score(crop: SearchFrame, s1, s2, bank: TemplateBank) -> np.ndarray:
 
 
 def _scores_at(windows: np.ndarray, s1, s2, bank: TemplateBank, flat: np.ndarray) -> np.ndarray:
-    """Every template of ``bank`` at placements ``flat`` (row-major indices into ``s2``), shape ``(R, m)``, in bands."""
+    """Every template of ``bank`` at placements ``flat`` (row-major indices into ``s2``), shape ``(R, m)``: in bands, each band's windows the rows ``(m, n)`` of an im2col product."""
     out = np.empty((len(bank.templates), flat.size))
     for k in range(0, flat.size, _BAND_PLACEMENTS):
         at = np.unravel_index(flat[k : k + _BAND_PLACEMENTS], s2.shape)
         cols = windows[at].reshape(at[0].size, -1)
-        out[:, k : k + _BAND_PLACEMENTS] = _product(bank, cols, None if s1 is None else s1[at], s2[at])
+        out[:, k : k + _BAND_PLACEMENTS] = _normalize(bank.kernels @ cols.T, None if s1 is None else s1[at], s2[at],
+                                                       bank.sums, bank.energies, cols.shape[1])
     return out
 
 
@@ -541,7 +536,7 @@ def _refine(boxes: np.ndarray, ix, iy, peaks, left, right, up, down):
 
 
 def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
-                   region: SearchRegion | None = None, min_score: float = 0.5) -> MatchResult:
+                   region: SearchRegion | None = None, min_score: float = DEFAULT_MIN_SCORE) -> MatchResult:
     """Best subpixel placement of ``template`` in ``image``: ``match_templates`` of one image and one template.
 
     With a region, the search is restricted to it; if the regional best scores
@@ -555,7 +550,7 @@ def match_template(image, template: Template, measure: str = CCOEFF_NORMED,
 
 
 def match_templates(images, bank: TemplateBank, centers: np.ndarray | None = None,
-                    radius: int | None = None, min_score: float = 0.5):
+                    radius: int | None = None, min_score: float = DEFAULT_MIN_SCORE):
     """Best subpixel placements of a bank's R templates in each of S same-shape images.
 
     Template ``r`` is searched in image ``s`` within ``radius`` of

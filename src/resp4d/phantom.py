@@ -172,50 +172,49 @@ def _sequence_jitter(spec: PhantomSpec, seed: int, s: int) -> tuple[float, float
     return offset, amp
 
 
+def _non_negative(key: str, value) -> None:
+    if not value >= 0:  # NaN too
+        raise ValidationError(f"{key} must be non-negative, got {value}")
+
+
 def _validate(spec: PhantomSpec, seed: int) -> None:
     if not spec.vessels:
         raise ValidationError("phantom needs at least one vessel")
     components = spec.signal.components
     for j, comp in enumerate(components):
-        if not comp.period_ms > 0:
-            raise ValidationError(f"signal.components[{j}].period_ms must be positive, got {comp.period_ms}")
-        if not comp.weight >= 0:
-            raise ValidationError(f"signal.components[{j}].weight must be non-negative, got {comp.weight}")
+        check_positive(f"signal.components[{j}].period_ms", comp.period_ms)
+        _non_negative(f"signal.components[{j}].weight", comp.weight)
     if not any(comp.weight > 0 for comp in components):
         raise ValidationError("signal.components: the breathing signal needs a component of positive weight")
-    if not spec.noise_std >= 0:
-        raise ValidationError(f"noise_std must be non-negative, got {spec.noise_std}")
-    # before rendering: the period bounds the displacement below, the gap places every data frame
+    # before rendering: the period times every frame, the gap places every data frame
     check_positive("frame_period_ms", spec.frame_period_ms)
     check_positive("slice_gap_mm", spec.slice_gap_mm)
-    for key, value in (("seed", seed), ("signal.seed", spec.signal.seed)):
-        if value < 0:  # numpy seeds only from non-negative integers
-            raise ValidationError(f"{key} must be non-negative, got {value}")
+    for key in ("noise_std", "sequence_phase_jitter_ms", "sequence_amp_jitter"):
+        _non_negative(key, getattr(spec, key))
+    _non_negative("seed", seed)  # numpy seeds only from non-negative integers
+    _non_negative("signal.seed", spec.signal.seed)
     if spec.reference_frames < 3:
         raise ValidationError("reference needs at least 3 frames for enclosing navigators")
     if spec.sequences < 1 or spec.data_frames_per_sequence < 1:
         raise ValidationError("phantom needs at least one interleaved sequence with data frames")
-    names, counts = _session_layout(spec)
-    session_ms = sum(counts) * spec.frame_period_ms
-    amp_bound = spec.signal.amplitude_px * (1.0 + 4.0 * spec.sequence_amp_jitter)
-    drift_bound = abs(spec.signal.drift_px_per_min) * session_ms / 60000.0
-    offset_bound = max((abs(o) for _, o in spec.sequence_offsets_px), default=0.0)
-    disp = amp_bound + drift_bound + offset_bound
     for i, vessel in enumerate(spec.vessels):
-        if not vessel.radius_px > 0:
-            raise ValidationError(f"vessels[{i}].radius_px must be positive, got {vessel.radius_px}")
+        check_positive(f"vessels[{i}].radius_px", vessel.radius_px)
+        for key in ("split_rest_px", "satellite_amplitude"):
+            _non_negative(f"vessels[{i}].{key}", getattr(vessel, key))
+
+
+def _check_in_frame(spec: PhantomSpec, name: str, disps: list[float]) -> None:
+    """Refuse sequence ``name`` if its displacements ``disps`` would carry a blob out of the frame."""
+    low, high = np.min(disps), np.max(disps)  # NaN anywhere reads as NaN, and is refused
+    for i, vessel in enumerate(spec.vessels):
         sigma_max = vessel.radius_px * (1.0 + _RADIUS_GAIN * vessel.modulation_depth)
-        margin = 3.0 * sigma_max + 1.0 + 0.5 * vessel.split_at(1.0)
-        centres = [(vessel.x, vessel.y)]
-        for dx, dy in vessel.satellite_offsets:
-            centres.append((vessel.x + dx, vessel.y + dy))
-        for cx, cy in centres:
+        margin = 3.0 * sigma_max + 1.0 + 0.5 * max(abs(vessel.split_at(0.0)), abs(vessel.split_at(1.0)))
+        for dx, dy in [(0.0, 0.0), *vessel.satellite_offsets]:
+            cx, cy = vessel.x + dx, vessel.y + dy
             if not (margin <= cx <= spec.frame_width - 1 - margin):
                 raise ValidationError(f"vessel v{i}: x={cx} leaves the frame horizontally")
-            if not (margin <= cy - disp and cy + disp <= spec.frame_height - 1 - margin):
-                raise ValidationError(
-                    f"vessel v{i}: y={cy} with displacement bound {disp:.2f} px leaves the frame"
-                )
+            if not (margin <= cy + low and cy + high <= spec.frame_height - 1 - margin):
+                raise ValidationError(f"vessel v{i}: y={cy} leaves the frame in {name}, displaced {low:.2f} to {high:.2f} px")
 
 
 def render_frame(
@@ -287,6 +286,7 @@ def generate_phantom(spec: PhantomSpec, seed: int = 0) -> tuple[Dataset, GroundT
         pos_rows, state_rows = [], []
         times = (g + np.arange(count)) * period
         disps = (spec.signal.value(times, time_offset, amp_factor) + const_px).tolist()
+        _check_in_frame(spec, name, disps)
         states = spec.signal.state(times, time_offset, amp_factor).tolist()
         for i, (t, disp, state) in enumerate(zip(times.tolist(), disps, states)):
             blobs, centres = _vessel_blobs(spec, disp, state)

@@ -15,7 +15,6 @@ the baseline uses the frame-0 set everywhere.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -283,8 +282,6 @@ def save_reconstruction(volume: Volume4D, report: ReconstructionReport, out_dir:
             fh.write("".join(map(f"%d,{s},%d,%.6f,%d\r\n".__mod__, zip(*(c.tolist() for c in columns)))))
 
     with open(out / "acquisition_correlation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["acquisition_index", "slice_position_mm", "matches"])
-        for s, matches in sorted(report.per_sequence_matches.items()):
-            writer.writerow([s, f"{report.sequence_slice_mm[s]:.3f}", matches])
+        fh.write("acquisition_index,slice_position_mm,matches\r\n")
+        fh.write("".join(f"{s},{report.sequence_slice_mm[s]:.3f},{n}\r\n" for s, n in sorted(report.per_sequence_matches.items())))
     return out

@@ -46,6 +46,7 @@ from .errors import TrackingError, ValidationError
 from .imgcore import Frame, ReferenceSequence, from_obj, to_obj
 from .matcher import (
     CCOEFF_NORMED,
+    DEFAULT_MIN_SCORE,
     MEASURES,
     SearchFrame,
     SearchRegion,
@@ -63,7 +64,6 @@ UPDATING = "updating"
 MODES = (FIXED, UPDATING)
 
 DEFAULT_SEARCH_RADIUS = 10
-DEFAULT_MIN_SCORE = 0.5
 
 
 @dataclass(frozen=True)

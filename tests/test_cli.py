@@ -99,12 +99,24 @@ def test_malformed_phantom_spec_fails_validation(tmp_path, capsys, write, messag
         # the Dataset's own rule: phantom must not write what validate rejects
         ({"in_plane_spacing_mm": [-1.0, 1.0]}, "in_plane_spacing_mm must be positive, got (-1.0, 1.0)"),
         ({"in_plane_spacing_mm": [1.82, 0.0]}, "in_plane_spacing_mm must be positive, got (1.82, 0.0)"),
-        # refused before rendering, because it bounds the displacement
+        # refused before rendering, because it times every frame
         ({"frame_period_ms": -200.0}, "frame_period_ms must be positive, got -200.0"),
         ({"slice_gap_mm": 0.0}, "slice_gap_mm must be positive, got 0.0"),
+        # a negative value here used to render as zero
+        ({"sequence_phase_jitter_ms": -40.0}, "sequence_phase_jitter_ms must be non-negative, got -40.0"),
+        ({"sequence_amp_jitter": -0.1}, "sequence_amp_jitter must be non-negative, got -0.1"),
+        ({"vessels": [{"x": 24.0, "y": 20.0, "split_rest_px": -3.0}]}, "vessels[0].split_rest_px must be non-negative"),
+        ({"vessels": [{"x": 24.0, "y": 20.0, "satellite_amplitude": -0.9}]},
+         "vessels[0].satellite_amplitude must be non-negative"),
+        # judged from the motion and the split that would be rendered
+        ({"signal": {"amplitude_px": -30.0}}, "vessel v0: y=20.0 leaves the frame in ref1"),
+        ({"vessels": [{"x": 8.0, "y": 32.0, "radius_px": 1.0, "modulation_depth": 1.0, "split_rest_px": 3.0,
+                       "split_gain_px": -20.0}]}, "vessel v0: x=8.0 leaves the frame horizontally"),
     ],
     ids=["no-components", "zero-period", "negative-weight", "zero-weights", "negative-noise", "zero-radius",
-         "negative-signal-seed", "negative-spacing", "zero-spacing", "negative-frame-period", "zero-slice-gap"],
+         "negative-signal-seed", "negative-spacing", "zero-spacing", "negative-frame-period", "zero-slice-gap",
+         "negative-phase-jitter", "negative-amp-jitter", "negative-split-rest", "negative-satellite-amplitude",
+         "negative-amplitude", "negative-split-gain"],
 )
 def test_unusable_phantom_spec_fails_validation(tmp_path, capsys, spec, message):
     (tmp_path / "spec.json").write_text(json.dumps(spec))

@@ -272,12 +272,14 @@ def test_session_layout_and_slice_positions(replay_seed0):
 
 
 def test_vessel_leaving_the_frame_is_rejected():
-    spec = replay_spec(
-        vessels=(VesselSpec(x=24.0, y=10.0, radius_px=2.5),),
-        signal=BreathingSignal(amplitude_px=8.0),
-    )
-    with pytest.raises(ValidationError, match="leaves the frame"):
-        generate_phantom(spec, seed=0)
+    # a negative amplitude moves the vessel as far, in mirror image
+    for amplitude in (8.0, -8.0):
+        spec = replay_spec(
+            vessels=(VesselSpec(x=24.0, y=10.0, radius_px=2.5),),
+            signal=BreathingSignal(amplitude_px=amplitude),
+        )
+        with pytest.raises(ValidationError, match="leaves the frame"):
+            generate_phantom(spec, seed=0)
 
 
 @pytest.mark.parametrize("spacing", [(math.inf, 1.0), (1.0, math.nan)], ids=["infinite", "nan"])
@@ -291,9 +293,9 @@ def test_non_finite_spacing_is_rejected(spacing):
 @pytest.mark.parametrize("key", ["frame_period_ms", "slice_gap_mm"])
 def test_nan_timing_and_gap_are_rejected(key, monkeypatch):
     # a JSON spec cannot carry NaN; a spec built in Python can.  Both are
-    # refused before a single frame is rendered: the frame period bounds the
-    # displacement, and the gap places the data frames, whose slice position
-    # must be finite
+    # refused before a single frame is rendered: the frame period times every
+    # frame, and the gap places the data frames, whose slice position must be
+    # finite
     monkeypatch.setattr(phantom, "render_frame", None)
     with pytest.raises(ValidationError) as exc:
         generate_phantom(replay_spec(**{key: math.nan}), seed=0)
@@ -305,12 +307,14 @@ def test_split_width_counts_toward_the_margin():
     base = dict(x=12.0, y=32.0, radius_px=2.0)
     ok = replay_spec(vessels=(VesselSpec(**base),), signal=BreathingSignal(amplitude_px=2.0))
     generate_phantom(ok, seed=0)
-    wide = replay_spec(
-        vessels=(VesselSpec(**base, modulation_depth=1.0, split_rest_px=3.0, split_gain_px=20.0),),
-        signal=BreathingSignal(amplitude_px=2.0),
-    )
-    with pytest.raises(ValidationError, match="horizontally"):
-        generate_phantom(wide, seed=0)
+    # a negative gain narrows the pair, crosses it over and widens it again
+    for gain in (20.0, -20.0):
+        wide = replay_spec(
+            vessels=(VesselSpec(**base, modulation_depth=1.0, split_rest_px=3.0, split_gain_px=gain),),
+            signal=BreathingSignal(amplitude_px=2.0),
+        )
+        with pytest.raises(ValidationError, match="horizontally"):
+            generate_phantom(wide, seed=0)
 
 
 def test_appearance_modulation_without_motion(pinned_split):
